@@ -34,6 +34,7 @@ from .label_model import (
     estimate_all,
     estimate_label_distribution,
     knn_indices,
+    label_distributions,
 )
 from .quantizer import (
     Partition,
@@ -79,6 +80,7 @@ __all__ = [
     "kmeans_assign",
     "kmeans_fit",
     "knn_indices",
+    "label_distributions",
     "load_bags",
     "load_dataset",
     "load_feature_matrix",

@@ -90,23 +90,41 @@ class EvalReport:
         object.__setattr__(self, "per_class_accuracy", per_class)
 
 
-def build_histogram(
-    bag: FeatureBag,
-    quantize_fn: Callable[[np.ndarray], int],
-    M: int,
-) -> BofHistogram:
-    """Tally quantize_fn over the bag's descriptors into an M-bin histogram."""
+CodesFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _checked_codes(codes_fn: CodesFn, descriptors: np.ndarray, M: int) -> np.ndarray:
+    """codes_fn over a (P, d) descriptor matrix, checked to be P indices in [0, M)."""
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
-    codes = np.fromiter(
-        (quantize_fn(descriptor) for descriptor in bag.descriptors),
-        dtype=np.int64,
-        count=bag.size,
-    )
+    codes = np.asarray(codes_fn(descriptors))
+    if codes.shape != (descriptors.shape[0],) or not np.issubdtype(codes.dtype, np.integer):
+        raise ParameterError(
+            f"codes_fn must return {descriptors.shape[0]} integer codes, got {codes.dtype} {codes.shape}"
+        )
     if codes.min() < 0 or codes.max() >= M:
-        raise ParameterError(f"quantize_fn produced an index outside [0, {M})")
-    counts = np.bincount(codes, minlength=M)
+        raise ParameterError(f"codes_fn produced an index outside [0, {M})")
+    return codes
+
+
+def build_histogram(bag: FeatureBag, codes_fn: CodesFn, M: int) -> BofHistogram:
+    """Tally the codes of the bag's descriptors into an M-bin histogram.
+
+    codes_fn maps a (P, d) descriptor matrix to its (P,) subset indices,
+    such as a fitted model's codes method.
+    """
+    counts = np.bincount(_checked_codes(codes_fn, bag.descriptors, M), minlength=M)
     return BofHistogram(counts=counts, normalized=counts / bag.size)
+
+
+def _nearest_label(train: np.ndarray, labels: Sequence[int], query: np.ndarray, distance: str) -> int:
+    """Label of the row of train nearest to query; ties go to the lowest row."""
+    diff = train - query
+    if distance == "l1":
+        dists = np.abs(diff).sum(axis=1)
+    else:
+        dists = np.sqrt((diff**2).sum(axis=1))
+    return labels[int(np.argmin(dists))]
 
 
 def classify_1nn(
@@ -128,38 +146,42 @@ def classify_1nn(
         raise ParameterError(
             f"histogram length mismatch: train has {train.shape[1]} bins, query has {query.M}"
         )
-    diff = train - query.normalized
-    if distance == "l1":
-        dists = np.abs(diff).sum(axis=1)
-    else:
-        dists = np.sqrt((diff**2).sum(axis=1))
-    return train_histograms[int(np.argmin(dists))][1]
+    return _nearest_label(train, [label for _, label in train_histograms], query.normalized, distance)
 
 
 def evaluate(
     train_bags: Sequence[FeatureBag],
     test_bags: Sequence[FeatureBag],
     quantizer_tag: str,
-    quantize_fn: Callable[[np.ndarray], int],
+    codes_fn: CodesFn,
     M: int,
     distance: str = "l1",
 ) -> EvalReport:
     """Histogram every bag, 1-NN classify the test bags, tally the confusion.
 
-    Confusion rows are true classes, columns predictions; overall accuracy is
-    the trace over the total count.
+    codes_fn is called once, on the descriptors of all bags stacked. The
+    histograms equal build_histogram's, and each test bag gets the label
+    classify_1nn gives it. Confusion rows are true classes, columns
+    predictions; overall accuracy is the trace over the total count.
     """
+    if distance not in DISTANCES:
+        raise ParameterError(f"distance must be one of {DISTANCES}, got {distance!r}")
     if not train_bags or not test_bags:
         raise ParameterError("train and test bag sets must both be nonempty")
-    for bag in (*train_bags, *test_bags):
+    bags = (*train_bags, *test_bags)
+    for bag in bags:
         if bag.label is None:
             raise ParameterError(f"item {bag.item_id!r} has no label")
-    num_classes = max(bag.label for bag in (*train_bags, *test_bags)) + 1
-    train_histograms = [(build_histogram(bag, quantize_fn, M), bag.label) for bag in train_bags]
+    num_classes = max(bag.label for bag in bags) + 1
+    sizes = np.array([bag.size for bag in bags])
+    codes = _checked_codes(codes_fn, np.vstack([bag.descriptors for bag in bags]), M)
+    owner = np.repeat(np.arange(len(bags)), sizes)
+    counts = np.bincount(owner * M + codes, minlength=len(bags) * M).reshape(len(bags), M)
+    normalized = counts / sizes[:, None]
+    train, train_labels = normalized[: len(train_bags)], [bag.label for bag in train_bags]
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for bag in test_bags:
-        predicted = classify_1nn(train_histograms, build_histogram(bag, quantize_fn, M), distance)
-        confusion[bag.label, predicted] += 1
+    for bag, histogram in zip(test_bags, normalized[len(train_bags) :]):
+        confusion[bag.label, _nearest_label(train, train_labels, histogram, distance)] += 1
     row_totals = confusion.sum(axis=1)
     per_class = np.divide(
         np.diag(confusion),

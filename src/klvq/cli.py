@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 from . import bof, fileio
 from .divergence import SmoothingConfig
 from .errors import KlvqError
-from .kmeans import kmeans_assign, kmeans_fit
+from .kmeans import kmeans_fit
 from .label_model import KnnConfig
-from .quantizer import QuantizerConfig, QuantizerModel, fit, quantize
+from .quantizer import QuantizerConfig, QuantizerModel, fit
 
 DEFAULT_K = 10
 
@@ -66,12 +66,8 @@ def _cmd_kmeans_fit(args: argparse.Namespace) -> int:
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
     model = fileio.load_model(args.model)
-    features = fileio.load_feature_matrix(args.input)
-    for row in features:
-        if isinstance(model, QuantizerModel):
-            print(quantize(model, row))
-        else:
-            print(kmeans_assign(model, row))
+    codes = model.codes(fileio.load_feature_matrix(args.input))
+    sys.stdout.write("".join(f"{code}\n" for code in codes.tolist()))
     return 0
 
 
@@ -101,11 +97,9 @@ def _cmd_eval_bof(args: argparse.Namespace) -> int:
     test_bags, class_names = fileio.load_bags(args.test_dir, class_names)
     if isinstance(model, QuantizerModel):
         tag, subsets = "klvq", model.config.M
-        quantize_fn = lambda descriptor: quantize(model, descriptor)  # noqa: E731
     else:
         tag, subsets = "kmeans", model.K
-        quantize_fn = lambda descriptor: kmeans_assign(model, descriptor)  # noqa: E731
-    report = bof.evaluate(train_bags, test_bags, tag, quantize_fn, subsets, args.distance)
+    report = bof.evaluate(train_bags, test_bags, tag, model.codes, subsets, args.distance)
     names = list(class_names) + [
         f"class_{c}" for c in range(len(class_names), report.confusion.shape[0])
     ]

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .label_model import BLOCK_CELLS, as_queries
 from .quantizer import Partition
 
 
@@ -41,6 +42,16 @@ class KmeansModel:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
+
+    def codes(self, queries: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+        """Index of the centroid nearest to every query row, as an (n,) int64
+        array (squared Euclidean, lowest index on ties)."""
+        q = as_queries(queries, self.dim)
+        out = np.empty(q.shape[0], dtype=np.int64)
+        step = max(1, BLOCK_CELLS // self.centroids.size)
+        for start in range(0, q.shape[0], step):
+            out[start : start + step] = _nearest(q[start : start + step], self.centroids)[0]
+        return out
 
 
 def _nearest(features: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,10 +137,5 @@ def kmeans_fit(
 
 
 def kmeans_assign(model: KmeansModel, query: Sequence[float] | np.ndarray) -> int:
-    """Index of the centroid nearest to query (squared Euclidean, lowest index on ties)."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (model.dim,):
-        raise ParameterError(f"query must have dimension {model.dim}, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ParameterError("query contains NaN or Inf entries")
-    return int(np.argmin(np.sum((model.centroids - q) ** 2, axis=1)))
+    """Index of the centroid nearest to one query; see KmeansModel.codes."""
+    return int(model.codes([query])[0])

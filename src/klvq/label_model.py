@@ -81,6 +81,11 @@ class KnnConfig:
         return replace(self, k=min(self.k, bound))
 
 
+# Query rows per block are chosen so that one (rows, N) float64 temporary
+# stays near 1 MB, which keeps the peak memory of a batch flat in its size.
+BLOCK_CELLS = 1 << 17
+
+
 def _smallest_k(dists: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest entries, ordered by (value, index) ascending."""
     n = dists.shape[0]
@@ -93,13 +98,49 @@ def _smallest_k(dists: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([strict, ties[: k - strict.shape[0]]])
 
 
-def _as_query(dataset: LabeledDataset, query: Sequence[float] | np.ndarray) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (dataset.dim,):
-        raise ParameterError(f"query must have dimension {dataset.dim}, got shape {q.shape}")
+def as_queries(queries: Sequence[Sequence[float]] | np.ndarray, dim: int) -> np.ndarray:
+    """Query vectors as a finite float64 (n, dim) matrix; raises ParameterError otherwise."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != dim:
+        raise ParameterError(f"query vectors must have dimension {dim}, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise ParameterError("query contains NaN or Inf entries")
     return q
+
+
+def _sq_dists(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(B, N) squared Euclidean distances from B queries to N rows given as (d, N) columns.
+
+    The squares are added one coordinate at a time in index order, the
+    summation order of a plain loop over coordinates.
+    """
+    out = np.subtract(columns[0], queries[:, :1])
+    np.multiply(out, out, out=out)
+    term = np.empty_like(out)
+    for j in range(1, columns.shape[0]):
+        np.subtract(columns[j], queries[:, j : j + 1], out=term)
+        np.multiply(term, term, out=term)
+        out += term
+    return out
+
+
+def _leave_out_rows(
+    dataset: LabeledDataset,
+    config: KnnConfig,
+    leave_out: Optional[Sequence[int] | np.ndarray],
+) -> Optional[np.ndarray]:
+    """The honored leave-out rows (None when include_self is true), after
+    checking them and that k does not exceed the candidates left."""
+    if config.include_self or leave_out is None:
+        leave_out, available = None, dataset.n
+    else:
+        leave_out = np.asarray(leave_out, dtype=np.int64)
+        if leave_out.size and (leave_out.min() < 0 or leave_out.max() >= dataset.n):
+            raise ParameterError(f"leave-out row index not in [0, {dataset.n})")
+        available = dataset.n - 1
+    if config.k > available:
+        raise ParameterError(f"k={config.k} exceeds the {available} available neighbor candidates")
+    return leave_out
 
 
 def knn_indices(
@@ -115,18 +156,54 @@ def knn_indices(
     removes one row from the candidate set and is honored only when
     config.include_self is false (its intended use is leave-self-out queries).
     """
-    q = _as_query(dataset, query)
-    dists = np.sum((dataset.features - q) ** 2, axis=1)
-    available = dataset.n
-    if not config.include_self and exclude_index is not None:
-        if not 0 <= exclude_index < dataset.n:
-            raise ParameterError(f"exclude_index {exclude_index} not in [0, {dataset.n})")
-        dists = dists.copy()
-        dists[exclude_index] = np.inf
-        available -= 1
-    if config.k > available:
-        raise ParameterError(f"k={config.k} exceeds the {available} available neighbor candidates")
+    q = as_queries([query], dataset.dim)
+    leave_out = _leave_out_rows(dataset, config, None if exclude_index is None else [exclude_index])
+    dists = _sq_dists(dataset.features.T, q)[0]
+    if leave_out is not None:
+        dists[leave_out[0]] = np.inf
     return _smallest_k(dists, config.k)
+
+
+def label_distributions(
+    dataset: LabeledDataset,
+    queries: Sequence[Sequence[float]] | np.ndarray,
+    config: KnnConfig,
+    leave_out: Optional[Sequence[int] | np.ndarray] = None,
+) -> np.ndarray:
+    """Class label distributions of the k nearest neighbors of each query, as (n, C).
+
+    Row i is the fraction of query i's k nearest dataset rows (squared
+    Euclidean distance, ties to the lower row index) labeled c. leave_out,
+    one dataset row per query, is removed from that query's candidates when
+    config.include_self is false (leave-self-out estimates).
+
+    Queries are processed in blocks of about BLOCK_CELLS distances. Where
+    more than k rows lie within a query's kth-smallest distance the
+    neighbor set is ambiguous, and that query is resolved by the exact
+    (distance, index) rule instead.
+    """
+    q = as_queries(queries, dataset.dim)
+    leave_out = _leave_out_rows(dataset, config, leave_out)
+    if leave_out is not None and leave_out.shape != (q.shape[0],):
+        raise ParameterError(f"leave_out must hold one row index per query, got shape {leave_out.shape}")
+    k, C = config.k, dataset.num_classes
+    columns = np.ascontiguousarray(dataset.features.T)
+    step = max(1, BLOCK_CELLS // dataset.n)
+    out = np.empty((q.shape[0], C), dtype=np.float64)
+    for start in range(0, q.shape[0], step):
+        dists = _sq_dists(columns, q[start : start + step])
+        rows = np.arange(dists.shape[0])
+        if leave_out is not None:
+            dists[rows, leave_out[start : start + step]] = np.inf
+        nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
+        kth = dists[rows, nearest[:, k - 1]]
+        ambiguous = np.count_nonzero(dists <= kth[:, None], axis=1) > k
+        for row in np.flatnonzero(ambiguous):
+            nearest[row] = _smallest_k(dists[row], k)
+        flat = (rows[:, None] * C + dataset.labels[nearest]).ravel()
+        counts = np.bincount(flat, minlength=dists.shape[0] * C).reshape(-1, C)
+        out[start : start + step] = counts / float(k)
+    return out
 
 
 def estimate_label_distribution(
@@ -140,9 +217,8 @@ def estimate_label_distribution(
     Entry c is the fraction of the k neighbors labeled c; the vector is
     nonnegative and sums to 1.
     """
-    neighbors = knn_indices(dataset, query, config, exclude_index)
-    counts = np.bincount(dataset.labels[neighbors], minlength=dataset.num_classes)
-    return counts / float(config.k)
+    leave_out = None if exclude_index is None else [exclude_index]
+    return label_distributions(dataset, [query], config, leave_out)[0]
 
 
 def estimate_all(dataset: LabeledDataset, config: KnnConfig) -> np.ndarray:
@@ -151,8 +227,4 @@ def estimate_all(dataset: LabeledDataset, config: KnnConfig) -> np.ndarray:
     Row i equals estimate_label_distribution with query = row i, leaving
     row i out of its own candidates when include_self is false.
     """
-    out = np.empty((dataset.n, dataset.num_classes), dtype=np.float64)
-    for i in range(dataset.n):
-        exclude = None if config.include_self else i
-        out[i] = estimate_label_distribution(dataset, dataset.features[i], config, exclude)
-    return out
+    return label_distributions(dataset, dataset.features, config, np.arange(dataset.n))

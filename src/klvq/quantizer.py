@@ -17,7 +17,13 @@ import numpy as np
 
 from .divergence import SmoothingConfig, _kl_terms, kl_matrix, objective, smooth
 from .errors import DomainError, ParameterError
-from .label_model import KnnConfig, LabeledDataset, estimate_all, estimate_label_distribution
+from .label_model import (
+    BLOCK_CELLS,
+    KnnConfig,
+    LabeledDataset,
+    estimate_all,
+    label_distributions,
+)
 
 INIT_MODES = ("random", "kmeans")
 UPDATE_MODES = ("paper", "centroid")
@@ -92,6 +98,8 @@ class QuantizerModel:
         dists = np.asarray(self.subset_dists, dtype=np.float64)
         if dists.ndim != 2 or dists.shape[0] != self.config.M:
             raise ParameterError(f"subset_dists must be ({self.config.M}, C), got {dists.shape}")
+        if not np.all(np.isfinite(dists)):
+            raise ParameterError("subset_dists contain NaN or Inf entries")
         sums = dists.sum(axis=1)
         if np.any(dists < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
             raise ParameterError("subset_dists rows must be distributions summing to 1")
@@ -105,6 +113,21 @@ class QuantizerModel:
         object.__setattr__(self, "training_labels", training_set.labels)
         object.__setattr__(self, "class_names", training_set.class_names)
         object.__setattr__(self, "_training_set", training_set)
+
+    def codes(self, queries: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+        """Subset index of every query row, as an (n,) int64 array.
+
+        Each row's label distribution is estimated by kNN against the
+        training set; its code is the KL argmin over the subset
+        distributions (lowest index on ties).
+        """
+        point_dists = label_distributions(self._training_set, queries, self.config.knn)
+        out = np.empty(point_dists.shape[0], dtype=np.int64)
+        step = max(1, BLOCK_CELLS // self.subset_dists.size)
+        for start in range(0, out.shape[0], step):
+            kls = kl_matrix(point_dists[start : start + step], self.subset_dists)
+            out[start : start + step] = np.argmin(kls, axis=1)
+        return out
 
 
 def update_subset_distributions(
@@ -191,11 +214,17 @@ def _initial_assignment(
         return partition.assignment
     rng = np.random.default_rng(config.seed)
     assignment = rng.integers(0, config.M, size=dataset.n)
-    if np.bincount(assignment, minlength=config.M).min() == 0:
+    occupied = np.bincount(assignment, minlength=config.M) > 0
+    if not occupied.all():
         if point_dists is None:
             point_dists = estimate_all(dataset, config.knn)
-        subset_dists = update_subset_distributions(
-            Partition(assignment, config.M),
+        # The repair reads only the distributions of the subsets the points
+        # sit in. Those of the empty subsets stay zero: smoothing a subset
+        # with no members is undefined at epsilon = 0.
+        compact = np.cumsum(occupied) - 1
+        subset_dists = np.zeros((config.M, dataset.num_classes))
+        subset_dists[occupied] = update_subset_distributions(
+            Partition(compact[assignment], int(occupied.sum())),
             dataset.labels,
             dataset.num_classes,
             config.update_mode,
@@ -263,9 +292,5 @@ def fit(
 
 
 def quantize(model: QuantizerModel, query: Sequence[float] | np.ndarray) -> int:
-    """Subset index for a new vector: estimate its label distribution by kNN
-    against the training set, then take the KL argmin over subset
-    distributions (lowest index on ties)."""
-    p = estimate_label_distribution(model._training_set, query, model.config.knn)
-    kls = kl_matrix(p[None, :], model.subset_dists)
-    return int(np.argmin(kls[0]))
+    """Subset index for one new vector; see QuantizerModel.codes."""
+    return int(model.codes([query])[0])

@@ -27,7 +27,6 @@ from klvq import (
     knn_indices,
     load_model,
     objective,
-    quantize,
     save_model,
     update_subset_distributions,
 )
@@ -289,13 +288,9 @@ def test_criterion_8_supervised_beats_baseline_at_desk_scale():
             update_mode="paper",
         )
         model, _, _ = fit(dataset, config)
-        klvq_report = evaluate(
-            train_bags, test_bags, "klvq", lambda d: quantize(model, d), 8
-        )
+        klvq_report = evaluate(train_bags, test_bags, "klvq", model.codes, 8)
         kmeans_model, _ = kmeans_fit(dataset.features, 8, seed=seed)
-        kmeans_report = evaluate(
-            train_bags, test_bags, "kmeans", lambda d: kmeans_assign(kmeans_model, d), 8
-        )
+        kmeans_report = evaluate(train_bags, test_bags, "kmeans", kmeans_model.codes, 8)
         accuracies.append((klvq_report.overall_accuracy, kmeans_report.overall_accuracy))
     elapsed = time.perf_counter() - start
     klvq_mean = np.mean([a for a, _ in accuracies])

@@ -16,7 +16,6 @@ from klvq import (
     fit,
     generate_synthetic,
     kmeans_fit,
-    quantize,
 )
 
 
@@ -25,8 +24,8 @@ def bag_of(values, label=None, item_id="item"):
     return FeatureBag(item_id, np.array(values, dtype=float).reshape(-1, 1), label)
 
 
-def first_column(descriptor):
-    return int(descriptor[0])
+def first_column(descriptors):
+    return descriptors[:, 0].astype(np.int64)
 
 
 def histogram(counts):
@@ -197,9 +196,7 @@ class TestGenerateSynthetic:
             M=3, knn=KnnConfig(k=5), smoothing=SmoothingConfig(1e-6), seed=0, init="kmeans"
         )
         model, _, _ = fit(dataset, config)
-        report = evaluate(
-            train_bags, test_bags, "klvq", lambda d: quantize(model, d), 3
-        )
+        report = evaluate(train_bags, test_bags, "klvq", model.codes, 3)
         assert report.overall_accuracy == 1.0
 
     def test_rejects_bad_parameters(self):

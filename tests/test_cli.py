@@ -1,3 +1,5 @@
+import json
+import math
 import subprocess
 import sys
 
@@ -108,6 +110,17 @@ class TestQuantizeCommand:
         code, _, err = run(capsys, "quantize", "--model", model_path, "--input", bad)
         assert code == 1
         assert "dimension" in err
+
+    def test_non_finite_subset_dists_exit_one_without_codes(self, dataset_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        run(capsys, "fit", "--input", dataset_csv, "--subsets", 2, "--output", model_path)
+        payload = json.loads(model_path.read_text())
+        payload["subset_dists"] = [[math.nan] * len(row) for row in payload["subset_dists"]]
+        model_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "quantize", "--model", model_path, "--input", dataset_csv)
+        assert code == 1
+        assert out == ""
+        assert "NaN" in err
 
     def test_kmeans_model_quantizes_too(self, dataset_csv, tmp_path, capsys):
         model_path = tmp_path / "km.json"

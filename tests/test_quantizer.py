@@ -120,6 +120,18 @@ class TestInitPartition:
         with pytest.raises(ParameterError):
             init_partition(2, QuantizerConfig(M=3, knn=KnnConfig(k=1)), dataset)
 
+    def test_unsmoothed_random_init_fills_every_subset(self):
+        # Two label-pure clusters: every KL the repair needs is finite at epsilon 0.
+        dataset = LabeledDataset(
+            np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]]),
+            np.array([0, 0, 0, 1, 1, 1]),
+            ("a", "b"),
+        )
+        for seed in range(200):
+            config = QuantizerConfig(M=5, knn=KnnConfig(k=3), smoothing=E0, seed=seed)
+            part = init_partition(6, config, dataset)
+            assert part.subset_sizes().min() == 1
+
     def test_kmeans_init_matches_feature_grouping(self):
         dataset = grouped_dataset([[0, 0, 1], [1, 1, 0]])
         config = QuantizerConfig(M=2, knn=KnnConfig(k=3), seed=3, init="kmeans")
