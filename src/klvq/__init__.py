@@ -36,8 +36,8 @@ from .label_model import (
     knn_indices,
     label_distributions,
 )
+from .partition import Partition, repair_empty
 from .quantizer import (
-    Partition,
     QuantizerConfig,
     QuantizerModel,
     assign_step,
@@ -87,6 +87,7 @@ __all__ = [
     "load_model",
     "objective",
     "quantize",
+    "repair_empty",
     "save_bags",
     "save_dataset",
     "save_model",

@@ -95,11 +95,7 @@ def _cmd_eval_bof(args: argparse.Namespace) -> int:
     model = fileio.load_model(args.model)
     train_bags, class_names = fileio.load_bags(args.train_dir)
     test_bags, class_names = fileio.load_bags(args.test_dir, class_names)
-    if isinstance(model, QuantizerModel):
-        tag, subsets = "klvq", model.config.M
-    else:
-        tag, subsets = "kmeans", model.K
-    report = bof.evaluate(train_bags, test_bags, tag, model.codes, subsets, args.distance)
+    report = bof.evaluate(train_bags, test_bags, model.kind, model.codes, model.M, args.distance)
     names = list(class_names) + [
         f"class_{c}" for c in range(len(class_names), report.confusion.shape[0])
     ]
@@ -119,9 +115,9 @@ def _cmd_eval_bof(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     model = fileio.load_model(args.model)
     print(f"format_version: {fileio.FORMAT_VERSION}")
+    print(f"kind: {model.kind}")
     if isinstance(model, QuantizerModel):
         config = model.config
-        print("kind: klvq")
         print(f"subsets: {config.M}")
         print(f"classes: {len(model.class_names)} ({','.join(model.class_names)})")
         print(f"training_vectors: {model.training_features.shape[0]}")
@@ -137,7 +133,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"converged: {str(model.converged).lower()}")
         print(f"final_objective: {_fmt(model.final_objective)}")
     else:
-        print("kind: kmeans")
         print(f"clusters: {model.K}")
         print(f"dimension: {model.dim}")
         print(f"iterations_run: {model.iterations_run}")

@@ -10,14 +10,11 @@ to route reference distributions through :func:`smooth` first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-
-if TYPE_CHECKING:
-    from .quantizer import Partition
+from .partition import Partition
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ def smooth(raw_counts: np.ndarray, config: SmoothingConfig) -> np.ndarray:
 
 def objective(
     point_dists: np.ndarray,
-    partition: "Partition",
+    partition: Partition,
     subset_dists: np.ndarray,
 ) -> float:
     """Total KL of each point distribution against its subset's distribution.

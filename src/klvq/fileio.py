@@ -167,9 +167,7 @@ def save_model(model: Model, path: str | Path) -> None:
     """Serialize a fitted model to versioned JSON."""
     if isinstance(model, QuantizerModel):
         config = model.config
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "klvq",
+        fields = {
             "config": {
                 "M": config.M,
                 "knn": {"k": config.knn.k, "include_self": config.knn.include_self},
@@ -188,9 +186,7 @@ def save_model(model: Model, path: str | Path) -> None:
             "converged": model.converged,
         }
     elif isinstance(model, KmeansModel):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "kmeans",
+        fields = {
             "config": {"K": model.K},
             "K": model.K,
             "centroids": model.centroids.tolist(),
@@ -200,6 +196,7 @@ def save_model(model: Model, path: str | Path) -> None:
         }
     else:
         raise ParameterError(f"cannot save model of type {type(model).__name__}")
+    payload = {"format_version": FORMAT_VERSION, "kind": model.kind, **fields}
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -239,7 +236,7 @@ def load_model(path: str | Path) -> Model:
                 subset_dists=np.asarray(payload["subset_dists"], dtype=np.float64),
                 config=config,
                 training_features=np.asarray(payload["training_features"], dtype=np.float64),
-                training_labels=np.asarray(payload["training_labels"], dtype=np.int64),
+                training_labels=payload["training_labels"],
                 class_names=tuple(payload["class_names"]),
                 final_objective=payload["final_objective"],
                 iterations_run=payload["iterations_run"],

@@ -3,24 +3,26 @@
 Forgy initialization (K distinct rows sampled with a seeded generator),
 squared-Euclidean assignment with lowest-index tie-breaks, mean updates, and
 farthest-point reseeding of empty clusters. The same determinism and repair
-rules as the KL quantizer, so the two are comparable in experiments.
+rule (partition.repair_empty) as the KL quantizer, so the two are comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .label_model import BLOCK_CELLS, as_queries
-from .quantizer import Partition
+from .errors import ParameterError
+from .label_model import BLOCK_CELLS, as_queries, require_int
+from .partition import Partition, repair_empty
 
 
 @dataclass(frozen=True)
 class KmeansModel:
     """Fitted centroids plus the fit diagnostics."""
+
+    kind: ClassVar[str] = "kmeans"
 
     centroids: np.ndarray
     K: int
@@ -30,14 +32,20 @@ class KmeansModel:
 
     def __post_init__(self) -> None:
         centroids = np.asarray(self.centroids, dtype=np.float64)
-        if centroids.ndim != 2 or centroids.shape[0] != self.K or self.K < 1:
+        K = require_int(self.K, "K")
+        if centroids.ndim != 2 or centroids.shape[0] != K or K < 1:
             raise ParameterError(f"centroids must be ({self.K}, d) with K >= 1, got {centroids.shape}")
         if not np.all(np.isfinite(centroids)):
             raise ParameterError("centroids contain NaN or Inf entries")
         if self.inertia < 0:
             raise ParameterError(f"inertia must be >= 0, got {self.inertia}")
+        require_int(self.iterations_run, "iterations_run")
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "inertia_trace", tuple(float(v) for v in self.inertia_trace))
+
+    @property
+    def M(self) -> int:
+        return self.K
 
     @property
     def dim(self) -> int:
@@ -58,34 +66,6 @@ def _nearest(features: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, n
     """Nearest-centroid assignment and the full squared-distance matrix."""
     sq = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(sq, axis=1), sq
-
-
-def _reseed_empty_clusters(
-    assignment: np.ndarray,
-    sq: np.ndarray,
-    K: int,
-) -> np.ndarray:
-    """Move the point farthest from its own centroid into each empty cluster.
-
-    Mirrors the quantizer's repair rule: farthest first, one point per empty
-    cluster, lowest point index on ties, donors only from clusters with at
-    least two members.
-    """
-    sizes = np.bincount(assignment, minlength=K)
-    empties = np.flatnonzero(sizes == 0)
-    if empties.size == 0:
-        return assignment
-    assignment = assignment.copy()
-    own = sq[np.arange(assignment.shape[0]), assignment]
-    for target in empties:
-        donors = np.flatnonzero(sizes[assignment] >= 2)
-        if donors.size == 0:
-            raise DomainError("cannot reseed empty clusters: fewer points than clusters")
-        best = donors[np.lexsort((donors, -own[donors]))[0]]
-        sizes[assignment[best]] -= 1
-        assignment[best] = target
-        sizes[target] += 1
-    return assignment
 
 
 def kmeans_fit(
@@ -119,7 +99,7 @@ def kmeans_fit(
     for _ in range(max_iters):
         iterations += 1
         proposed, sq = _nearest(X, centroids)
-        repaired = _reseed_empty_clusters(proposed, sq, K)
+        repaired = repair_empty(proposed, K, lambda own: sq[np.arange(own.shape[0]), own])
         for m in range(K):
             centroids[m] = X[repaired == m].mean(axis=0)
         trace.append(float(((X - centroids[repaired]) ** 2).sum()))

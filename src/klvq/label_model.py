@@ -16,6 +16,13 @@ import numpy as np
 from .errors import ParameterError
 
 
+def require_int(value: object, name: str) -> int:
+    """value as an int; raises ParameterError unless it has an integer type (bool excluded)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """N feature vectors with integer class labels.
@@ -31,7 +38,12 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # np.asarray turns a list mixing bools and ints into ints; look at the items.
+        items = self.labels if labels.ndim == 1 and not isinstance(self.labels, np.ndarray) else ()
+        if labels.size and (labels.dtype.kind not in "iu" or any(isinstance(v, bool) for v in items)):
+            raise ParameterError("labels must be integers, not reals or booleans")
+        labels = labels.astype(np.int64, copy=False)
         names = tuple(str(name) for name in self.class_names)
         if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ParameterError(f"features must be a nonempty (N, d) matrix, got {features.shape}")
@@ -70,8 +82,10 @@ class KnnConfig:
     include_self: bool = True
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if require_int(self.k, "k") < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.include_self, (bool, np.bool_)):
+            raise ParameterError(f"include_self must be true or false, got {self.include_self!r}")
 
     def clipped(self, n_points: int) -> "KnnConfig":
         """Copy with k reduced to the largest legal value for n_points rows."""

@@ -1,0 +1,68 @@
+"""Partitions of N points into M subsets, and the empty-subset repair rule
+shared by the KL quantizer and the k-means baseline; they differ only in the
+cost of a point in its own subset (KL to its distribution, squared distance
+to its centroid)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .errors import DomainError, ParameterError
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Assignment of N points to M disjoint subsets (preimages of each index)."""
+
+    assignment: np.ndarray
+    M: int
+
+    def __post_init__(self) -> None:
+        assignment = np.asarray(self.assignment, dtype=np.int64)
+        if assignment.ndim != 1 or assignment.shape[0] < 1:
+            raise ParameterError(f"assignment must be a nonempty vector, got shape {assignment.shape}")
+        if self.M < 1:
+            raise ParameterError(f"M must be >= 1, got {self.M}")
+        if assignment.min() < 0 or assignment.max() >= self.M:
+            raise ParameterError(f"assignment indices must lie in [0, {self.M})")
+        object.__setattr__(self, "assignment", assignment)
+
+    @property
+    def n(self) -> int:
+        return self.assignment.shape[0]
+
+    def subset_sizes(self) -> np.ndarray:
+        return np.bincount(self.assignment, minlength=self.M)
+
+
+def repair_empty(
+    assignment: np.ndarray,
+    M: int,
+    own_cost: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Move the worst-fit points into empty subsets, one point per subset.
+
+    Empty subsets are filled in ascending order, each with the point of
+    largest own_cost(assignment) (a point's cost in its own subset), lowest
+    point index on ties. Donors come only from subsets with at least two
+    members. own_cost is called once, only if some subset is empty; with
+    none, assignment itself is returned.
+    """
+    sizes = np.bincount(assignment, minlength=M)
+    empties = np.flatnonzero(sizes == 0)
+    if empties.size == 0:
+        return assignment
+    assignment = assignment.copy()
+    cost = own_cost(assignment)
+    for target in empties:
+        donors = np.flatnonzero(sizes[assignment] >= 2)
+        if donors.size == 0:
+            raise DomainError("cannot repair empty subsets: fewer points than subsets")
+        best = donors[np.lexsort((donors, -cost[donors]))[0]]
+        sizes[assignment[best]] -= 1
+        assignment[best] = target
+        sizes[target] += 1
+    return assignment

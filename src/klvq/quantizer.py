@@ -11,47 +11,25 @@ distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .divergence import SmoothingConfig, _kl_terms, kl_matrix, objective, smooth
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
+from .kmeans import kmeans_fit
 from .label_model import (
     BLOCK_CELLS,
     KnnConfig,
     LabeledDataset,
     estimate_all,
     label_distributions,
+    require_int,
 )
+from .partition import Partition, repair_empty
 
 INIT_MODES = ("random", "kmeans")
 UPDATE_MODES = ("paper", "centroid")
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of N points to M disjoint subsets (preimages of each index)."""
-
-    assignment: np.ndarray
-    M: int
-
-    def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.int64)
-        if assignment.ndim != 1 or assignment.shape[0] < 1:
-            raise ParameterError(f"assignment must be a nonempty vector, got shape {assignment.shape}")
-        if self.M < 1:
-            raise ParameterError(f"M must be >= 1, got {self.M}")
-        if assignment.min() < 0 or assignment.max() >= self.M:
-            raise ParameterError(f"assignment indices must lie in [0, {self.M})")
-        object.__setattr__(self, "assignment", assignment)
-
-    @property
-    def n(self) -> int:
-        return self.assignment.shape[0]
-
-    def subset_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.M)
 
 
 @dataclass(frozen=True)
@@ -67,11 +45,11 @@ class QuantizerConfig:
     update_mode: str = "paper"
 
     def __post_init__(self) -> None:
-        if self.M < 1:
+        if require_int(self.M, "M") < 1:
             raise ParameterError(f"M must be >= 1, got {self.M}")
-        if self.max_iters < 1:
+        if require_int(self.max_iters, "max_iters") < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
+        if require_int(self.seed, "seed") < 0:
             raise ParameterError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.init not in INIT_MODES:
             raise ParameterError(f"init must be one of {INIT_MODES}, got {self.init!r}")
@@ -83,6 +61,8 @@ class QuantizerConfig:
 class QuantizerModel:
     """A fitted quantizer: subset distributions plus the training references
     needed to estimate label distributions for new vectors."""
+
+    kind: ClassVar[str] = "klvq"
 
     subset_dists: np.ndarray
     config: QuantizerConfig
@@ -107,12 +87,19 @@ class QuantizerModel:
             raise ParameterError("smoothed subset_dists must be strictly positive")
         if not np.isfinite(self.final_objective) or self.final_objective < -1e-9:
             raise ParameterError(f"final_objective must be finite and >= -1e-9, got {self.final_objective}")
+        require_int(self.iterations_run, "iterations_run")
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise ParameterError(f"converged must be true or false, got {self.converged!r}")
         training_set = LabeledDataset(self.training_features, self.training_labels, self.class_names)
         object.__setattr__(self, "subset_dists", dists)
         object.__setattr__(self, "training_features", training_set.features)
         object.__setattr__(self, "training_labels", training_set.labels)
         object.__setattr__(self, "class_names", training_set.class_names)
         object.__setattr__(self, "_training_set", training_set)
+
+    @property
+    def M(self) -> int:
+        return self.config.M
 
     def codes(self, queries: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
         """Subset index of every query row, as an (n,) int64 array.
@@ -176,42 +163,26 @@ def _repair_empty_subsets(
     subset_dists: np.ndarray,
     point_dists: np.ndarray,
 ) -> np.ndarray:
-    """Move the worst-fit points into empty subsets, one point per subset.
-
-    Worst fit = largest KL to the point's currently assigned subset; ties go
-    to the lowest point index. Donor points are only taken from subsets with
-    at least two members, so no new empty subset can appear.
-    """
-    M = subset_dists.shape[0]
-    sizes = np.bincount(assignment, minlength=M)
-    empties = np.flatnonzero(sizes == 0)
-    if empties.size == 0:
-        return assignment
-    assignment = assignment.copy()
-    kl_to_own = _kl_terms(point_dists, subset_dists[assignment]).sum(axis=1)
-    for target in empties:
-        donors = np.flatnonzero(sizes[assignment] >= 2)
-        if donors.size == 0:
-            raise DomainError("cannot repair empty subsets: fewer points than subsets")
-        best = donors[np.lexsort((donors, -kl_to_own[donors]))[0]]
-        sizes[assignment[best]] -= 1
-        assignment[best] = target
-        sizes[target] += 1
-    return assignment
+    """repair_empty with a point's KL to its own subset's distribution as its cost."""
+    return repair_empty(
+        assignment,
+        subset_dists.shape[0],
+        lambda own: _kl_terms(point_dists, subset_dists[own]).sum(axis=1),
+    )
 
 
-def _initial_assignment(
+def init_partition(
     dataset: LabeledDataset,
     config: QuantizerConfig,
     point_dists: np.ndarray | None = None,
-) -> np.ndarray:
+) -> Partition:
+    """Deterministic starting partition for fit(): seeded uniform assignment
+    with empty subsets repaired (using point_dists, estimated if None and
+    needed), or the k-means partition of the features."""
     if config.M > dataset.n:
         raise ParameterError(f"M={config.M} exceeds the {dataset.n} available points")
     if config.init == "kmeans":
-        from .kmeans import kmeans_fit
-
-        _, partition = kmeans_fit(dataset.features, config.M, config.seed, config.max_iters)
-        return partition.assignment
+        return kmeans_fit(dataset.features, config.M, config.seed, config.max_iters)[1]
     rng = np.random.default_rng(config.seed)
     assignment = rng.integers(0, config.M, size=dataset.n)
     occupied = np.bincount(assignment, minlength=config.M) > 0
@@ -232,15 +203,7 @@ def _initial_assignment(
             config.smoothing,
         )
         assignment = _repair_empty_subsets(assignment, subset_dists, point_dists)
-    return assignment
-
-
-def init_partition(n: int, config: QuantizerConfig, dataset: LabeledDataset) -> Partition:
-    """Deterministic starting partition for fit(): seeded uniform assignment
-    with empty subsets repaired, or the k-means partition of the features."""
-    if n != dataset.n:
-        raise ParameterError(f"n={n} does not match the dataset's {dataset.n} rows")
-    return Partition(_initial_assignment(dataset, config), config.M)
+    return Partition(assignment, config.M)
 
 
 def fit(
@@ -255,7 +218,7 @@ def fit(
     partition, and the objective value recorded after each full iteration.
     """
     point_dists = estimate_all(dataset, config.knn)
-    assignment = _initial_assignment(dataset, config, point_dists)
+    assignment = init_partition(dataset, config, point_dists).assignment
     labels = dataset.labels
     subset_dists = np.empty((config.M, dataset.num_classes))
     trace: list[float] = []

@@ -14,6 +14,7 @@ from klvq import (
     KmeansModel,
     KnnConfig,
     LabeledDataset,
+    Partition,
     QuantizerConfig,
     SmoothingConfig,
     assign_step,
@@ -31,7 +32,6 @@ from klvq import (
     update_subset_distributions,
 )
 from klvq.cli import cli
-from klvq.quantizer import Partition
 
 from oracles import oracle_assign, oracle_knn, oracle_nearest, oracle_objective
 

@@ -180,6 +180,22 @@ class TestSynthAndEvalCommands:
         assert code == 0
         assert "quantizer: kmeans" in out
 
+    def test_real_valued_cluster_count_exits_one(self, tmp_path, capsys):
+        self.synth(capsys, tmp_path / "bench")
+        model_path = tmp_path / "km.json"
+        run(capsys, "kmeans-fit", "--input", tmp_path / "bench/descriptors.csv",
+            "--clusters", 3, "--output", model_path)
+        payload = json.loads(model_path.read_text())
+        payload["K"] = 3.0
+        model_path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "eval-bof", "--train-dir", tmp_path / "bench/train",
+            "--test-dir", tmp_path / "bench/test", "--model", model_path,
+        )
+        assert code == 1
+        assert out == ""
+        assert "K must be an integer" in err
+
 
 class TestInfoCommand:
     def test_klvq_metadata(self, dataset_csv, tmp_path, capsys):

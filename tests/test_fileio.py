@@ -176,6 +176,38 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError, match="not found"):
             load_model(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            pytest.param("kmeans", ("K",), float, id="K-real"),
+            pytest.param("kmeans", ("iterations_run",), 2.5, id="kmeans-iterations_run"),
+            pytest.param("klvq", ("iterations_run",), 2.5, id="klvq-iterations_run"),
+            pytest.param("klvq", ("converged",), "no", id="converged-string"),
+            pytest.param("klvq", ("converged",), 1, id="converged-int"),
+            pytest.param("klvq", ("training_labels", 0), 0.9, id="label-fraction"),
+            pytest.param("klvq", ("training_labels", 0), True, id="label-bool"),
+            pytest.param("klvq", ("config", "M"), float, id="M-real"),
+            pytest.param("klvq", ("config", "knn", "k"), float, id="k-real"),
+            pytest.param("klvq", ("config", "knn", "include_self"), "yes", id="include_self-string"),
+        ],
+    )
+    def test_non_integral_or_non_bool_field_rejected(self, tmp_path, kind, field, value):
+        """value replaces the field; a callable maps the saved value to its replacement."""
+        if kind == "klvq":
+            model = self.make_klvq(1)
+        else:
+            model, _ = kmeans_fit(np.random.default_rng(1).normal(size=(30, 3)), 3, seed=5)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        parent = payload
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value(parent[field[-1]]) if callable(value) else value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="malformed"):
+            load_model(path)
+
 
 class TestBagStorage:
     def test_round_trip(self, tmp_path):

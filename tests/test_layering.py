@@ -1,0 +1,77 @@
+"""Import layering of the klvq package, read from its sources with ast.
+
+The modules form an acyclic import graph, every import sits at module
+level, and no import is hidden behind ``TYPE_CHECKING``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "klvq"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def imported_modules(node):
+    """Package modules named by one import statement (relative or absolute)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1 and node.module:
+            return [node.module.split(".")[0]]
+        if node.level == 1:
+            return [alias.name for alias in node.names]
+        if node.module and node.module.split(".")[0] == "klvq":
+            rest = node.module.split(".")[1:]
+            return rest[:1] if rest else [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("klvq.")]
+    return []
+
+
+def import_graph():
+    return {
+        name: {dep for node in ast.walk(tree) for dep in imported_modules(node) if dep in MODULES}
+        for name, tree in MODULES.items()
+    }
+
+
+def test_package_is_found():
+    assert {"partition", "quantizer", "kmeans", "divergence", "cli"} <= MODULES.keys()
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph()
+    state = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in sorted(graph[name]):
+            if state.get(dep) == "open":
+                pytest.fail("import cycle: " + " -> ".join(path + [dep]))
+            if dep not in state:
+                visit(dep, path + [dep])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [name])
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_import_inside_a_function(name):
+    for function in ast.walk(MODULES[name]):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                    f"{name}.py:{node.lineno} imports inside {function.name}()"
+                )
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_type_checking_only_package_import(name):
+    for node in ast.walk(MODULES[name]):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            for inner in ast.walk(node):
+                assert not imported_modules(inner), (
+                    f"{name}.py:{inner.lineno} imports a package module under TYPE_CHECKING"
+                )

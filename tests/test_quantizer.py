@@ -16,8 +16,10 @@ from klvq import (
     estimate_all,
     fit,
     init_partition,
+    kl_matrix,
     objective,
     quantize,
+    repair_empty,
     smooth,
     update_subset_distributions,
 )
@@ -97,12 +99,12 @@ class TestInitPartition:
         dataset = grouped_dataset([[0, 1, 0, 1]])
         for seed in (0, 1, 5, 9):
             config = QuantizerConfig(M=4, knn=KnnConfig(k=2), seed=seed)
-            part = init_partition(4, config, dataset)
+            part = init_partition(dataset, config)
             assert sorted(part.assignment.tolist()) == [0, 1, 2, 3]
 
     def test_single_subset_is_all_zeros(self):
         dataset = grouped_dataset([[0, 1, 0, 1, 0, 1]])
-        part = init_partition(6, QuantizerConfig(M=1, knn=KnnConfig(k=2)), dataset)
+        part = init_partition(dataset, QuantizerConfig(M=1, knn=KnnConfig(k=2)))
         assert part.assignment.tolist() == [0] * 6
 
     def test_deterministic_for_fixed_seed(self):
@@ -111,14 +113,14 @@ class TestInitPartition:
             rng.normal(size=(100, 3)), rng.integers(0, 2, size=100), ("a", "b")
         )
         config = QuantizerConfig(M=5, knn=KnnConfig(k=5), seed=7)
-        first = init_partition(100, config, dataset)
-        second = init_partition(100, config, dataset)
+        first = init_partition(dataset, config)
+        second = init_partition(dataset, config)
         np.testing.assert_array_equal(first.assignment, second.assignment)
 
     def test_m_larger_than_n_raises(self):
         dataset = grouped_dataset([[0, 1]])
         with pytest.raises(ParameterError):
-            init_partition(2, QuantizerConfig(M=3, knn=KnnConfig(k=1)), dataset)
+            init_partition(dataset, QuantizerConfig(M=3, knn=KnnConfig(k=1)))
 
     def test_unsmoothed_random_init_fills_every_subset(self):
         # Two label-pure clusters: every KL the repair needs is finite at epsilon 0.
@@ -129,13 +131,13 @@ class TestInitPartition:
         )
         for seed in range(200):
             config = QuantizerConfig(M=5, knn=KnnConfig(k=3), smoothing=E0, seed=seed)
-            part = init_partition(6, config, dataset)
+            part = init_partition(dataset, config)
             assert part.subset_sizes().min() == 1
 
     def test_kmeans_init_matches_feature_grouping(self):
         dataset = grouped_dataset([[0, 0, 1], [1, 1, 0]])
         config = QuantizerConfig(M=2, knn=KnnConfig(k=3), seed=3, init="kmeans")
-        part = init_partition(6, config, dataset)
+        part = init_partition(dataset, config)
         assert len(set(part.assignment[:3].tolist())) == 1
         assert len(set(part.assignment[3:].tolist())) == 1
         assert part.assignment[0] != part.assignment[3]
@@ -219,14 +221,69 @@ class TestAssignStep:
         np.testing.assert_array_equal(first.assignment, second.assignment[::-1])
 
 
+def kl_to_own(point_dists, subset_dists):
+    """repair_empty cost of the KL quantizer: KL of each point to its own subset."""
+    kls = kl_matrix(point_dists, subset_dists)
+    return lambda assignment: kls[np.arange(kls.shape[0]), assignment]
+
+
+def sq_to_own(features, centroids):
+    """repair_empty cost of k-means: squared distance of each point to its own centroid."""
+    sq = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return lambda assignment: sq[np.arange(sq.shape[0]), assignment]
+
+
+# Subset 0 holds every point; subsets 1 and 2 are empty. Points 1 and 2 tie
+# for the largest own cost (exactly: the same two terms, summed in either
+# order), point 3 is a near fit and point 0 a perfect one.
+SHARED_RULE_COSTS = {
+    "squared-distance": sq_to_own(
+        np.array([[0.0], [3.0], [-3.0], [1.0]]), np.array([[0.0], [10.0], [20.0]])
+    ),
+    "kl": kl_to_own(
+        np.array([[0.5, 0.5], [0.9, 0.1], [0.1, 0.9], [0.6, 0.4]]),
+        np.array([[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]]),
+    ),
+}
+
+
 class TestRepairEmptySubsets:
     def test_moves_largest_kl_point_into_each_empty_subset(self):
         point_dists = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
         subset_dists = np.array([[0.9, 0.1], [0.5, 0.5]])
         assignment = np.array([0, 0, 0])
-        repaired = _repair_empty_subsets(assignment, subset_dists, point_dists)
+        repaired = repair_empty(assignment, 2, kl_to_own(point_dists, subset_dists))
         # Point 2 is the worst fit in subset 0, so it seeds the empty subset 1.
         assert repaired.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("cost", SHARED_RULE_COSTS.values(), ids=SHARED_RULE_COSTS.keys())
+    def test_farthest_first_lowest_index_on_ties(self, cost):
+        calls = []
+
+        def counted(assignment):
+            calls.append(assignment.copy())
+            return cost(assignment)
+
+        assignment = np.array([0, 0, 0, 0])
+        repaired = repair_empty(assignment, 3, counted)
+        # Empty subset 1 takes the lower-indexed of the two tied worst fits,
+        # empty subset 2 the other one.
+        assert repaired.tolist() == [0, 1, 2, 0]
+        assert assignment.tolist() == [0, 0, 0, 0]
+        assert len(calls) == 1 and calls[0].tolist() == [0, 0, 0, 0]
+
+    def test_cost_is_not_computed_without_empty_subsets(self):
+        def never(assignment):
+            raise AssertionError("own_cost called with no empty subset")
+
+        assignment = np.array([0, 1, 2, 0])
+        assert repair_empty(assignment, 3, never) is assignment
+
+    def test_donors_come_only_from_subsets_with_two_members(self):
+        # Point 2 fits worst but is alone in subset 1, so point 1 moves.
+        costs = np.array([0.0, 1.0, 5.0])
+        repaired = repair_empty(np.array([0, 0, 1]), 3, lambda assignment: costs)
+        assert repaired.tolist() == [0, 2, 1]
 
     def test_never_leaves_or_creates_empty_subsets(self):
         rng = np.random.default_rng(2)
@@ -237,8 +294,10 @@ class TestRepairEmptySubsets:
             P = random_positive_dists(rng, n, num_classes)
             Q = random_positive_dists(rng, num_subsets, num_classes)
             assignment = rng.integers(0, max(1, num_subsets - 2), size=n)
-            repaired = _repair_empty_subsets(assignment, Q, P)
+            repaired = repair_empty(assignment, num_subsets, kl_to_own(P, Q))
             assert np.bincount(repaired, minlength=num_subsets).min() >= 1
+            # The quantizer's KL adapter makes the same moves.
+            np.testing.assert_array_equal(_repair_empty_subsets(assignment, Q, P), repaired)
 
 
 class TestFit:
