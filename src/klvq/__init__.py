@@ -32,7 +32,6 @@ from .label_model import (
     KnnConfig,
     LabeledDataset,
     estimate_all,
-    estimate_label_distribution,
     knn_indices,
     label_distributions,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "class_mode_layout",
     "classify_1nn",
     "estimate_all",
-    "estimate_label_distribution",
     "evaluate",
     "fit",
     "generate_synthetic",

@@ -70,18 +70,19 @@ def kl_matrix(point_dists: np.ndarray, subset_dists: np.ndarray) -> np.ndarray:
 def smooth(raw_counts: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     """Turn class counts into a distribution: (count_c + eps) / (total + eps*C).
 
-    With eps = 0 this is the raw empirical frequency; with total = 0 and
-    eps > 0 it falls back to the uniform distribution. An all-zero count
-    vector with eps = 0 is a domain error.
+    raw_counts is one count vector, or an (M, C) matrix whose rows are
+    smoothed independently. With eps = 0 this is the raw empirical
+    frequency; with total = 0 and eps > 0 it falls back to the uniform
+    distribution. An all-zero count vector (or row) with eps = 0 is a
+    domain error.
     """
     counts = np.asarray(raw_counts, dtype=np.float64)
-    if counts.ndim != 1:
-        raise ParameterError(f"counts must be a vector, got shape {counts.shape}")
+    if counts.ndim not in (1, 2):
+        raise ParameterError(f"counts must be a vector or an (M, C) matrix, got shape {counts.shape}")
     if np.any(counts < 0):
         raise ParameterError("counts must be nonnegative")
-    total = counts.sum()
-    denom = total + config.epsilon * counts.shape[0]
-    if denom <= 0.0:
+    denom = counts.sum(axis=-1, keepdims=True) + config.epsilon * counts.shape[-1]
+    if np.any(denom <= 0.0):
         raise DomainError("empty subset with no smoothing")
     return (counts + config.epsilon) / denom
 

@@ -86,9 +86,11 @@ def kmeans_fit(
     if not np.all(np.isfinite(X)):
         raise ParameterError("features contain NaN or Inf entries")
     n = X.shape[0]
-    if not 1 <= K <= n:
+    if not 1 <= require_int(K, "K") <= n:
         raise ParameterError(f"K={K} must lie in [1, {n}]")
-    if max_iters < 1:
+    if require_int(seed, "seed") < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
+    if require_int(max_iters, "max_iters") < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
 
     rng = np.random.default_rng(seed)

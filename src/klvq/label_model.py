@@ -23,6 +23,16 @@ def require_int(value: object, name: str) -> int:
     return int(value)
 
 
+def require_int_array(values: object, name: str) -> np.ndarray:
+    """values as an int64 array; raises ParameterError if any entry is real or boolean."""
+    array = np.asarray(values)
+    # np.asarray turns a list mixing bools and ints into ints; look at the items.
+    items = values if array.ndim == 1 and not isinstance(values, np.ndarray) else ()
+    if array.size and (array.dtype.kind not in "iu" or any(isinstance(v, bool) for v in items)):
+        raise ParameterError(f"{name} must be integers, not reals or booleans")
+    return array.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """N feature vectors with integer class labels.
@@ -38,12 +48,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        # np.asarray turns a list mixing bools and ints into ints; look at the items.
-        items = self.labels if labels.ndim == 1 and not isinstance(self.labels, np.ndarray) else ()
-        if labels.size and (labels.dtype.kind not in "iu" or any(isinstance(v, bool) for v in items)):
-            raise ParameterError("labels must be integers, not reals or booleans")
-        labels = labels.astype(np.int64, copy=False)
+        labels = require_int_array(self.labels, "labels")
         names = tuple(str(name) for name in self.class_names)
         if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ParameterError(f"features must be a nonempty (N, d) matrix, got {features.shape}")
@@ -220,25 +225,10 @@ def label_distributions(
     return out
 
 
-def estimate_label_distribution(
-    dataset: LabeledDataset,
-    query: Sequence[float] | np.ndarray,
-    config: KnnConfig,
-    exclude_index: Optional[int] = None,
-) -> np.ndarray:
-    """Class label distribution of the query's k nearest neighbors.
-
-    Entry c is the fraction of the k neighbors labeled c; the vector is
-    nonnegative and sums to 1.
-    """
-    leave_out = None if exclude_index is None else [exclude_index]
-    return label_distributions(dataset, [query], config, leave_out)[0]
-
-
 def estimate_all(dataset: LabeledDataset, config: KnnConfig) -> np.ndarray:
     """Label distribution for every training row, as an (N, C) array.
 
-    Row i equals estimate_label_distribution with query = row i, leaving
-    row i out of its own candidates when include_self is false.
+    Row i is label_distributions for query row i, leaving row i out of its
+    own candidates when include_self is false.
     """
     return label_distributions(dataset, dataset.features, config, np.arange(dataset.n))

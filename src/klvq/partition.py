@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .label_model import require_int, require_int_array
 
 
 @dataclass(frozen=True)
@@ -21,10 +22,10 @@ class Partition:
     M: int
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.int64)
+        assignment = require_int_array(self.assignment, "assignment")
         if assignment.ndim != 1 or assignment.shape[0] < 1:
             raise ParameterError(f"assignment must be a nonempty vector, got shape {assignment.shape}")
-        if self.M < 1:
+        if require_int(self.M, "M") < 1:
             raise ParameterError(f"M must be >= 1, got {self.M}")
         if assignment.min() < 0 or assignment.max() >= self.M:
             raise ParameterError(f"assignment indices must lie in [0, {self.M})")

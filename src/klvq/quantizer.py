@@ -15,7 +15,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .divergence import SmoothingConfig, _kl_terms, kl_matrix, objective, smooth
+from .divergence import SmoothingConfig, _kl_terms, kl_matrix, smooth
 from .errors import ParameterError
 from .kmeans import kmeans_fit
 from .label_model import (
@@ -25,6 +25,7 @@ from .label_model import (
     estimate_all,
     label_distributions,
     require_int,
+    require_int_array,
 )
 from .partition import Partition, repair_empty
 
@@ -133,19 +134,23 @@ def update_subset_distributions(
     """
     if mode not in UPDATE_MODES:
         raise ParameterError(f"mode must be one of {UPDATE_MODES}, got {mode!r}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != partition.n:
-        raise ParameterError(f"{labels.shape[0]} labels for {partition.n} assigned points")
-    out = np.empty((partition.M, num_classes), dtype=np.float64)
-    for m in range(partition.M):
-        members = partition.assignment == m
-        if mode == "paper":
-            weights = np.bincount(labels[members], minlength=num_classes).astype(np.float64)
-        else:
-            member_dists = np.asarray(point_dists, dtype=np.float64)[members]
-            weights = member_dists.mean(axis=0) if member_dists.shape[0] else np.zeros(num_classes)
-        out[m] = smooth(weights, smoothing)
-    return out
+    M, C = partition.M, require_int(num_classes, "num_classes")
+    labels = require_int_array(labels, "labels")
+    if labels.shape != (partition.n,):
+        raise ParameterError(f"{labels.shape} labels for {partition.n} assigned points")
+    if labels.min() < 0 or labels.max() >= C:
+        raise ParameterError(f"labels must lie in [0, {C})")
+    if mode == "paper":
+        weights = np.bincount(partition.assignment * C + labels, minlength=M * C).reshape(M, C)
+    else:
+        dists = np.asarray(point_dists, dtype=np.float64)
+        if dists.shape != (partition.n, C):
+            raise ParameterError(f"point_dists must be ({partition.n}, {C}), got {dists.shape}")
+        # np.add.at sums each subset's rows in index order, as mean(axis=0) does.
+        weights = np.zeros((M, C))
+        np.add.at(weights, partition.assignment, dists)
+        weights /= np.maximum(partition.subset_sizes(), 1)[:, None]
+    return smooth(weights, smoothing)
 
 
 def assign_step(point_dists: np.ndarray, subset_dists: np.ndarray) -> Partition:
@@ -214,29 +219,29 @@ def fit(
 
     Starts from init_partition, stops at the first assignment fixpoint or
     after max_iters. Empty subsets produced by an assignment step are
-    repaired before the next update. Returns the fitted model, the final
+    repaired before the next update. Each iteration evaluates the (N, M) KL
+    matrix once and reads from it both assign_step's proposal and the
+    objective of the repaired partition. Returns the fitted model, the final
     partition, and the objective value recorded after each full iteration.
     """
     point_dists = estimate_all(dataset, config.knn)
     assignment = init_partition(dataset, config, point_dists).assignment
-    labels = dataset.labels
-    subset_dists = np.empty((config.M, dataset.num_classes))
     trace: list[float] = []
     converged = False
-    iterations = 0
+    rows = np.arange(dataset.n)
     for _ in range(config.max_iters):
-        iterations += 1
         subset_dists = update_subset_distributions(
             Partition(assignment, config.M),
-            labels,
+            dataset.labels,
             dataset.num_classes,
             config.update_mode,
             point_dists,
             config.smoothing,
         )
-        proposed = assign_step(point_dists, subset_dists).assignment
+        kls = kl_matrix(point_dists, subset_dists)
+        proposed = np.argmin(kls, axis=1)
         repaired = _repair_empty_subsets(proposed, subset_dists, point_dists)
-        trace.append(objective(point_dists, Partition(repaired, config.M), subset_dists))
+        trace.append(float(kls[rows, repaired].sum()))
         if np.array_equal(proposed, assignment):
             converged = True
             break
@@ -248,7 +253,7 @@ def fit(
         training_labels=dataset.labels,
         class_names=dataset.class_names,
         final_objective=trace[-1],
-        iterations_run=iterations,
+        iterations_run=len(trace),
         converged=converged,
     )
     return model, Partition(assignment, config.M), trace

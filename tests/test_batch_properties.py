@@ -3,6 +3,10 @@
 Coordinates are drawn partly from a coarse grid and some rows are repeated,
 so that distance ties, including ties at the kth neighbor, are common. The
 block size is also drawn, so that batches cross block boundaries.
+
+The fit loop's premises are pinned the same way: its own-subset KL terms,
+subset distributions and smoothing equal, bit for bit, the per-point and
+per-subset formulas they replace.
 """
 
 import contextlib
@@ -17,12 +21,18 @@ from klvq import (
     KmeansModel,
     KnnConfig,
     LabeledDataset,
+    Partition,
     QuantizerConfig,
     QuantizerModel,
+    SmoothingConfig,
     estimate_all,
+    kl_matrix,
     label_distributions,
+    smooth,
+    update_subset_distributions,
 )
 from klvq import kmeans, label_model, quantizer
+from klvq.divergence import _kl_terms
 
 from oracles import oracle_assign, oracle_knn, oracle_nearest
 
@@ -133,3 +143,82 @@ def test_kmeans_codes_match_oracle(dim, data):
     assert got.tolist() == [
         oracle_nearest(centroids.tolist(), q.tolist()) for q in np.vstack([queries, centroids])
     ]
+
+
+@st.composite
+def distributions(draw, rows, num_classes, positive=False):
+    """rows x num_classes distributions; with positive false, some entries are 0."""
+    low = st.floats(0.01, 1.0)
+    elements = low if positive else st.one_of(st.just(0.0), low)
+    weights = draw(arrays(np.float64, (rows, num_classes), elements=elements))
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+epsilons = st.sampled_from([0.0, 1e-9, 1e-6, 0.3])
+
+
+@pytest.mark.parametrize("num_classes", range(1, 21))
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_kl_matrix_entries_equal_own_subset_terms(num_classes, data):
+    n, M = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12))
+    P = data.draw(distributions(n, num_classes))
+    Q = data.draw(distributions(M, num_classes, positive=True))
+    assignment = data.draw(arrays(np.int64, n, elements=st.integers(0, M - 1)))
+    np.testing.assert_array_equal(
+        kl_matrix(P, Q)[np.arange(n), assignment], _kl_terms(P, Q[assignment]).sum(axis=1)
+    )
+
+
+def per_subset_distributions(assignment, M, labels, num_classes, mode, point_dists, smoothing):
+    """Each subset on its own: its members' label counts (paper) or mean
+    distribution (centroid), then smooth."""
+    out = np.empty((M, num_classes))
+    for m in range(M):
+        members = assignment == m
+        if mode == "paper":
+            weights = np.bincount(labels[members], minlength=num_classes).astype(np.float64)
+        else:
+            member_dists = point_dists[members]
+            weights = member_dists.mean(axis=0) if member_dists.shape[0] else np.zeros(num_classes)
+        out[m] = smooth(weights, smoothing)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["paper", "centroid"])
+@SETTINGS
+@given(data=st.data(), num_classes=st.integers(1, 17), epsilon=epsilons)
+def test_subset_distributions_equal_per_subset_formula(mode, data, num_classes, epsilon):
+    n = data.draw(st.integers(1, 200))
+    M = data.draw(st.integers(1, min(n, 16) if epsilon == 0.0 else 16))
+    assignment = data.draw(arrays(np.int64, n, elements=st.integers(0, M - 1)))
+    if epsilon == 0.0:
+        assignment[:M] = np.arange(M)  # unsmoothed subsets must not be empty
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, num_classes - 1)))
+    point_dists = data.draw(distributions(n, num_classes))
+    smoothing = SmoothingConfig(epsilon)
+    got = update_subset_distributions(
+        Partition(assignment, M), labels, num_classes, mode, point_dists, smoothing
+    )
+    want = per_subset_distributions(assignment, M, labels, num_classes, mode, point_dists, smoothing)
+    np.testing.assert_array_equal(got, want)
+
+
+@SETTINGS
+@given(data=st.data(), num_classes=st.integers(1, 20), epsilon=epsilons)
+def test_smooth_matrix_equals_smooth_of_each_row(data, num_classes, epsilon):
+    rows = data.draw(st.integers(1, 12))
+    counts = data.draw(
+        arrays(
+            np.float64,
+            (rows, num_classes),
+            elements=st.one_of(st.integers(0, 60).map(float), st.floats(0.0, 1.0)),
+        )
+    )
+    if epsilon == 0.0:
+        counts[counts.sum(axis=1) == 0, 0] = 1.0
+    smoothing = SmoothingConfig(epsilon)
+    np.testing.assert_array_equal(
+        smooth(counts, smoothing), np.array([smooth(row, smoothing) for row in counts])
+    )

@@ -90,6 +90,14 @@ class TestKmeansFitCommand:
         inertias = [float(line.split(",")[1]) for line in lines[3:]]
         assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
+    def test_negative_seed_exits_one(self, dataset_csv, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "kmeans-fit", "--input", dataset_csv, "--clusters", 3, "--seed", -1,
+            "--output", tmp_path / "km.json",
+        )
+        assert (code, out) == (1, "")
+        assert "seed must be a nonnegative integer" in err
+
 
 class TestQuantizeCommand:
     def test_prints_one_index_per_row(self, dataset_csv, tmp_path, capsys):
@@ -195,6 +203,76 @@ class TestSynthAndEvalCommands:
         assert code == 1
         assert out == ""
         assert "K must be an integer" in err
+
+
+GOLDEN_PAPER_FIT = """\
+iterations: 8
+converged: false
+final_objective: 5.5706838061937267
+iteration,objective
+1,4.887602206167502
+2,6.4671763441825423
+3,16.578646467269753
+4,12.624553274071852
+5,5.5706838061937267
+6,5.5706838061937267
+7,5.5706838061937267
+8,5.5706838061937267
+"""
+
+GOLDEN_CENTROID_FIT = """\
+iterations: 2
+converged: true
+final_objective: 2.4938664710459428
+iteration,objective
+1,4.5790331772772426
+2,2.4938664710459428
+"""
+
+GOLDEN_KMEANS_FIT = """\
+iterations: 3
+inertia: 10956.100063008869
+iteration,inertia
+1,11462.427660628913
+2,10956.100063008869
+3,10956.100063008869
+"""
+
+
+class TestGoldenOutput:
+    """Exact stdout of seeded runs. A change to any printed value or trace
+    line shows here; a change that alters them on purpose updates the pins
+    and says which lines changed and why."""
+
+    def test_synth_and_fits_print_pinned_text(self, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        code, out, _ = run(
+            capsys, "synth", "--seed", 2, "--classes", 3, "--items-per-class", 2,
+            "--descriptors", 5, "--dim", 2, "--noise", 1.0, "--out-dir", bench,
+        )
+        assert code == 0
+        assert out == (
+            "train items: 6\ntest items: 6\npooled training descriptors: 30\n"
+            f"wrote {bench / 'train'}, {bench / 'test'}, {bench / 'descriptors.csv'}\n"
+        )
+        data = bench / "descriptors.csv"
+        # Paper mode, random init: iterations 2-8 each repair one empty
+        # subset, and the fit cycles until --max-iters.
+        code, out, _ = run(
+            capsys, "fit", "--input", data, "--subsets", 4, "--knn", 4, "--seed", 0,
+            "--max-iters", 8, "--output", tmp_path / "paper.json",
+        )
+        assert (code, out) == (0, GOLDEN_PAPER_FIT)
+        code, out, _ = run(
+            capsys, "fit", "--input", data, "--subsets", 4, "--knn", 4, "--mode", "centroid",
+            "--init", "kmeans", "--seed", 1, "--output", tmp_path / "centroid.json",
+        )
+        assert (code, out) == (0, GOLDEN_CENTROID_FIT)
+        code, out, _ = run(
+            capsys, "kmeans-fit", "--input", data, "--clusters", 4, "--seed", 2,
+            "--output", tmp_path / "kmeans.json",
+        )
+        assert (code, out) == (0, GOLDEN_KMEANS_FIT)
 
 
 class TestInfoCommand:

@@ -108,6 +108,14 @@ class TestSmooth:
         with pytest.raises(ParameterError):
             smooth(np.array([-1, 2]), SmoothingConfig(1e-6))
 
+    def test_matrix_rows_raise_like_vectors(self):
+        with pytest.raises(DomainError, match="empty subset with no smoothing"):
+            smooth(np.array([[2, 1], [0, 0]]), SmoothingConfig(0.0))
+        with pytest.raises(ParameterError, match="nonnegative"):
+            smooth(np.array([[2, 1], [-1, 2]]), SmoothingConfig(1e-6))
+        with pytest.raises(ParameterError, match="shape"):
+            smooth(np.ones((2, 2, 2)), SmoothingConfig(1e-6))
+
     def test_negative_epsilon_raises(self):
         with pytest.raises(ParameterError):
             SmoothingConfig(-1e-9)

@@ -78,6 +78,16 @@ class TestKmeansFit:
         with pytest.raises(ParameterError):
             kmeans_fit(TWO_CLUSTERS, 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"K": 3.0}, {"K": True}, {"K": 3, "seed": 1.5}, {"K": 3, "max_iters": 2.5}, {"K": 3, "seed": -1}],
+        ids=["real-K", "boolean-K", "real-seed", "real-max-iters", "negative-seed"],
+    )
+    def test_non_integer_arguments_raise_parameter_error(self, kwargs):
+        points = random_features(np.random.default_rng(8), n=10, dim=2)
+        with pytest.raises(ParameterError):
+            kmeans_fit(points, **kwargs)
+
     def test_non_finite_features_raise(self):
         with pytest.raises(ParameterError):
             kmeans_fit(np.array([[np.nan, 0.0]]), 1, seed=0)

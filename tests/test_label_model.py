@@ -6,8 +6,8 @@ from klvq import (
     LabeledDataset,
     ParameterError,
     estimate_all,
-    estimate_label_distribution,
     knn_indices,
+    label_distributions,
 )
 
 from oracles import oracle_knn
@@ -131,16 +131,16 @@ class TestKnnIndices:
 
 class TestEstimateLabelDistribution:
     def test_pure_neighborhood_is_one_hot(self, two_pair_dataset):
-        probs = estimate_label_distribution(two_pair_dataset, [0.0, 0.0], KnnConfig(k=2))
+        probs = label_distributions(two_pair_dataset, [[0.0, 0.0]], KnnConfig(k=2))[0]
         np.testing.assert_allclose(probs, [1.0, 0.0])
 
     def test_k_equal_n_gives_global_frequency(self, two_pair_dataset):
-        probs = estimate_label_distribution(two_pair_dataset, [0.0, 0.0], KnnConfig(k=4))
+        probs = label_distributions(two_pair_dataset, [[0.0, 0.0]], KnnConfig(k=4))[0]
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_single_class_dataset_is_one_hot(self):
         dataset = LabeledDataset(np.arange(6.0).reshape(3, 2), np.zeros(3, dtype=int), ("only",))
-        probs = estimate_label_distribution(dataset, [10.0, -1.0], KnnConfig(k=2))
+        probs = label_distributions(dataset, [[10.0, -1.0]], KnnConfig(k=2))[0]
         np.testing.assert_allclose(probs, [1.0])
 
     def test_outputs_are_distributions(self):
@@ -148,9 +148,9 @@ class TestEstimateLabelDistribution:
         for _ in range(25):
             dataset = random_dataset(rng)
             k = int(rng.integers(1, dataset.n + 1))
-            probs = estimate_label_distribution(
-                dataset, rng.normal(size=dataset.dim), KnnConfig(k=k)
-            )
+            probs = label_distributions(
+                dataset, [rng.normal(size=dataset.dim)], KnnConfig(k=k)
+            )[0]
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -159,13 +159,13 @@ class TestEstimateLabelDistribution:
         dataset = random_dataset(rng, n=60, dim=4, num_classes=3)
         query = rng.normal(size=4)
         config = KnnConfig(k=9)
-        base = estimate_label_distribution(dataset, query, config)
+        base = label_distributions(dataset, [query], config)[0]
         perm = rng.permutation(60)
         shuffled = LabeledDataset(
             dataset.features[perm], dataset.labels[perm], dataset.class_names
         )
         np.testing.assert_array_equal(
-            estimate_label_distribution(shuffled, query, config), base
+            label_distributions(shuffled, [query], config)[0], base
         )
 
 
@@ -189,8 +189,8 @@ class TestEstimateAll:
             config = KnnConfig(k=5, include_self=include_self)
             got = estimate_all(dataset, config)
             for i in range(dataset.n):
-                exclude = None if include_self else i
+                leave_out = None if include_self else [i]
                 np.testing.assert_array_equal(
                     got[i],
-                    estimate_label_distribution(dataset, dataset.features[i], config, exclude),
+                    label_distributions(dataset, [dataset.features[i]], config, leave_out)[0],
                 )

@@ -93,6 +93,21 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             Partition(np.array([-1]), 1)
 
+    @pytest.mark.parametrize(
+        "assignment, M",
+        [
+            ([0.5, 1.7], 2),
+            (np.array([0.0, 1.0]), 2),
+            ([True, False], 2),
+            (np.array([True, False]), 2),
+            ([0, True], 2),
+            ([0, 1], 2.0),
+        ],
+    )
+    def test_partition_rejects_real_or_boolean_values(self, assignment, M):
+        with pytest.raises(ParameterError, match="must be (an )?integers?"):
+            Partition(assignment, M)
+
 
 class TestInitPartition:
     def test_m_equal_n_yields_singletons(self):
@@ -164,6 +179,24 @@ class TestUpdateSubsetDistributions:
         partition = Partition(np.array([0, 0]), 2)
         with pytest.raises(DomainError, match="empty subset with no smoothing"):
             update_subset_distributions(partition, np.array([0, 1]), 2, "paper", None, E0)
+
+    @pytest.mark.parametrize("mode", ["paper", "centroid"])
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.9, 1.0], np.array([0.0, 1.0]), [True, False], [0, 2], [-1, 0], [0, 1, 1]],
+        ids=["real-list", "real-array", "boolean", "beyond-C", "negative", "too-many"],
+    )
+    def test_rejects_bad_labels_before_counting(self, mode, labels):
+        partition = Partition(np.array([0, 1]), 2)
+        dists = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ParameterError, match="labels"):
+            update_subset_distributions(partition, labels, 2, mode, dists, E6)
+
+    def test_centroid_mode_rejects_misshapen_point_dists(self):
+        partition = Partition(np.array([0, 1]), 2)
+        for dists in (np.ones((2, 1)), np.full((3, 2), 0.5)):
+            with pytest.raises(ParameterError, match="point_dists"):
+                update_subset_distributions(partition, [0, 1], 2, "centroid", dists, E6)
 
     def test_paper_mode_equals_direct_counting_exactly(self):
         rng = np.random.default_rng(13)
@@ -408,6 +441,24 @@ class TestFit:
         dataset = grouped_dataset([[0, 1]])
         with pytest.raises(ParameterError):
             fit(dataset, QuantizerConfig(M=5, knn=KnnConfig(k=2)))
+
+    @pytest.mark.parametrize(
+        "update_mode, init, converged",
+        [("paper", "random", False), ("centroid", "kmeans", True)],
+    )
+    def test_final_objective_equals_objective_of_final_partition(self, update_mode, init, converged):
+        # Seed 0 of random_fit_instance's data: the paper fit cycles to
+        # max_iters, the centroid fit reaches a fixpoint.
+        dataset, _ = random_fit_instance(0)
+        config = QuantizerConfig(
+            M=5, knn=KnnConfig(k=6), smoothing=E6, max_iters=30, seed=2,
+            init=init, update_mode=update_mode,
+        )
+        model, part, trace = fit(dataset, config)
+        assert model.converged is converged
+        point_dists = estimate_all(dataset, config.knn)
+        assert model.final_objective == trace[-1]
+        assert model.final_objective == objective(point_dists, part, model.subset_dists)
 
 
 class TestQuantize:
