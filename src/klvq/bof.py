@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .label_model import LabeledDataset
+from .label_model import LabeledDataset, real_matrix
 
 DISTANCES = ("l1", "l2")
 
@@ -34,13 +34,7 @@ class FeatureBag:
     label: Optional[int] = None
 
     def __post_init__(self) -> None:
-        descriptors = np.asarray(self.descriptors, dtype=np.float64)
-        if descriptors.ndim != 2 or descriptors.shape[0] < 1:
-            raise ParameterError(
-                f"descriptors must be a nonempty (P, d) matrix, got {descriptors.shape}"
-            )
-        if not np.all(np.isfinite(descriptors)):
-            raise ParameterError(f"descriptors of item {self.item_id!r} contain NaN or Inf")
+        descriptors = real_matrix(self.descriptors, f"descriptors of item {self.item_id!r}")
         object.__setattr__(self, "descriptors", descriptors)
 
     @property
@@ -53,41 +47,49 @@ class BofHistogram:
     """Counts of an item's descriptors per quantization subset."""
 
     counts: np.ndarray
-    normalized: np.ndarray
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
-        normalized = np.asarray(self.normalized, dtype=np.float64)
-        if counts.ndim != 1 or counts.shape != normalized.shape:
-            raise ParameterError("counts and normalized must be vectors of equal length")
-        if np.any(counts < 0) or counts.sum() < 1:
-            raise ParameterError("counts must be nonnegative with a positive total")
+        if counts.ndim != 1 or np.any(counts < 0) or counts.sum() < 1:
+            raise ParameterError("counts must be a nonnegative vector with a positive total")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "normalized", normalized)
 
     @property
     def M(self) -> int:
         return self.counts.shape[0]
 
+    @property
+    def normalized(self) -> np.ndarray:
+        """Each subset's share of the item's descriptors."""
+        return self.counts / self.counts.sum()
+
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Classification outcome of one quantizer on one train/test split."""
+    """Classification outcome of one quantizer on one train/test split.
 
-    per_class_accuracy: np.ndarray
-    overall_accuracy: float
+    confusion rows are true classes, columns predictions.
+    """
+
     confusion: np.ndarray
     quantizer_tag: str
 
     def __post_init__(self) -> None:
         confusion = np.asarray(self.confusion, dtype=np.int64)
-        per_class = np.asarray(self.per_class_accuracy, dtype=np.float64)
         if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
             raise ParameterError(f"confusion must be square, got {confusion.shape}")
-        if per_class.shape != (confusion.shape[0],):
-            raise ParameterError("per_class_accuracy length must match confusion size")
         object.__setattr__(self, "confusion", confusion)
-        object.__setattr__(self, "per_class_accuracy", per_class)
+
+    @property
+    def per_class_accuracy(self) -> np.ndarray:
+        """Diagonal over row total per true class; 0 for a class with no test items."""
+        totals = self.confusion.sum(axis=1)
+        return np.divide(np.diag(self.confusion), totals, out=np.zeros(totals.shape), where=totals > 0)
+
+    @property
+    def overall_accuracy(self) -> float:
+        """Trace over total count."""
+        return float(np.trace(self.confusion) / self.confusion.sum())
 
 
 CodesFn = Callable[[np.ndarray], np.ndarray]
@@ -113,8 +115,7 @@ def build_histogram(bag: FeatureBag, codes_fn: CodesFn, M: int) -> BofHistogram:
     codes_fn maps a (P, d) descriptor matrix to its (P,) subset indices,
     such as a fitted model's codes method.
     """
-    counts = np.bincount(_checked_codes(codes_fn, bag.descriptors, M), minlength=M)
-    return BofHistogram(counts=counts, normalized=counts / bag.size)
+    return BofHistogram(np.bincount(_checked_codes(codes_fn, bag.descriptors, M), minlength=M))
 
 
 def _nearest_label(train: np.ndarray, labels: Sequence[int], query: np.ndarray, distance: str) -> int:
@@ -161,8 +162,7 @@ def evaluate(
 
     codes_fn is called once, on the descriptors of all bags stacked. The
     histograms equal build_histogram's, and each test bag gets the label
-    classify_1nn gives it. Confusion rows are true classes, columns
-    predictions; overall accuracy is the trace over the total count.
+    classify_1nn gives it.
     """
     if distance not in DISTANCES:
         raise ParameterError(f"distance must be one of {DISTANCES}, got {distance!r}")
@@ -182,20 +182,7 @@ def evaluate(
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     for bag, histogram in zip(test_bags, normalized[len(train_bags) :]):
         confusion[bag.label, _nearest_label(train, train_labels, histogram, distance)] += 1
-    row_totals = confusion.sum(axis=1)
-    per_class = np.divide(
-        np.diag(confusion),
-        row_totals,
-        out=np.zeros(num_classes, dtype=np.float64),
-        where=row_totals > 0,
-    )
-    overall = float(np.trace(confusion) / confusion.sum())
-    return EvalReport(
-        per_class_accuracy=per_class,
-        overall_accuracy=overall,
-        confusion=confusion,
-        quantizer_tag=quantizer_tag,
-    )
+    return EvalReport(confusion=confusion, quantizer_tag=quantizer_tag)
 
 
 def class_mode_layout(

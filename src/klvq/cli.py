@@ -119,9 +119,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     if isinstance(model, QuantizerModel):
         config = model.config
         print(f"subsets: {config.M}")
-        print(f"classes: {len(model.class_names)} ({','.join(model.class_names)})")
-        print(f"training_vectors: {model.training_features.shape[0]}")
-        print(f"dimension: {model.training_features.shape[1]}")
+        training_set = model.training_set
+        print(f"classes: {training_set.num_classes} ({','.join(training_set.class_names)})")
+        print(f"training_vectors: {training_set.n}")
+        print(f"dimension: {training_set.dim}")
         print(f"knn_k: {config.knn.k}")
         print(f"include_self: {str(config.knn.include_self).lower()}")
         print(f"epsilon: {_fmt(config.smoothing.epsilon)}")

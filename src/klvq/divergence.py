@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .label_model import require_real
 from .partition import Partition
 
 
@@ -21,13 +22,13 @@ from .partition import Partition
 class SmoothingConfig:
     """Additive smoothing applied to reference (subset) distributions.
 
-    epsilon: nonnegative constant added to each class count before normalizing.
+    epsilon: finite nonnegative constant added to each class count before normalizing.
     """
 
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if require_real(self.epsilon, "epsilon") < 0:
             raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
 
 

@@ -177,10 +177,10 @@ def save_model(model: Model, path: str | Path) -> None:
                 "init": config.init,
                 "update_mode": config.update_mode,
             },
-            "class_names": list(model.class_names),
+            "class_names": list(model.training_set.class_names),
             "subset_dists": model.subset_dists.tolist(),
-            "training_features": model.training_features.tolist(),
-            "training_labels": model.training_labels.tolist(),
+            "training_features": model.training_set.features.tolist(),
+            "training_labels": model.training_set.labels.tolist(),
             "final_objective": model.final_objective,
             "iterations_run": model.iterations_run,
             "converged": model.converged,
@@ -232,19 +232,23 @@ def load_model(path: str | Path) -> Model:
                 init=cfg["init"],
                 update_mode=cfg["update_mode"],
             )
+            names = payload["class_names"]
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise TypeError("class_names must be a list of strings")
+            training_set = LabeledDataset(
+                payload["training_features"], payload["training_labels"], tuple(names)
+            )
             return QuantizerModel(
-                subset_dists=np.asarray(payload["subset_dists"], dtype=np.float64),
+                subset_dists=payload["subset_dists"],
                 config=config,
-                training_features=np.asarray(payload["training_features"], dtype=np.float64),
-                training_labels=payload["training_labels"],
-                class_names=tuple(payload["class_names"]),
+                training_set=training_set,
                 final_objective=payload["final_objective"],
                 iterations_run=payload["iterations_run"],
                 converged=payload["converged"],
             )
         if kind == "kmeans":
             return KmeansModel(
-                centroids=np.asarray(payload["centroids"], dtype=np.float64),
+                centroids=payload["centroids"],
                 K=payload["K"],
                 inertia=payload["inertia"],
                 iterations_run=payload["iterations_run"],

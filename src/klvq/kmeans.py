@@ -14,7 +14,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .label_model import BLOCK_CELLS, as_queries, require_int
+from .label_model import BLOCK_CELLS, as_queries, real_matrix, require_int, require_real
 from .partition import Partition, repair_empty
 
 
@@ -31,17 +31,15 @@ class KmeansModel:
     inertia_trace: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        centroids = np.asarray(self.centroids, dtype=np.float64)
-        K = require_int(self.K, "K")
-        if centroids.ndim != 2 or centroids.shape[0] != K or K < 1:
-            raise ParameterError(f"centroids must be ({self.K}, d) with K >= 1, got {centroids.shape}")
-        if not np.all(np.isfinite(centroids)):
-            raise ParameterError("centroids contain NaN or Inf entries")
-        if self.inertia < 0:
+        centroids = real_matrix(self.centroids, "centroids")
+        if centroids.shape[0] != require_int(self.K, "K"):
+            raise ParameterError(f"centroids must be ({self.K}, d), got {centroids.shape}")
+        if require_real(self.inertia, "inertia") < 0:
             raise ParameterError(f"inertia must be >= 0, got {self.inertia}")
         require_int(self.iterations_run, "iterations_run")
+        trace = tuple(require_real(v, "inertia_trace entries") for v in self.inertia_trace)
         object.__setattr__(self, "centroids", centroids)
-        object.__setattr__(self, "inertia_trace", tuple(float(v) for v in self.inertia_trace))
+        object.__setattr__(self, "inertia_trace", trace)
 
     @property
     def M(self) -> int:
@@ -80,11 +78,7 @@ def kmeans_fit(
     points to their updated centroids) is non-increasing and is kept on the
     model as inertia_trace.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ParameterError(f"features must be a nonempty (N, d) matrix, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ParameterError("features contain NaN or Inf entries")
+    X = real_matrix(features, "features")
     n = X.shape[0]
     if not 1 <= require_int(K, "K") <= n:
         raise ParameterError(f"K={K} must lie in [1, {n}]")
@@ -97,9 +91,7 @@ def kmeans_fit(
     centroids = X[rng.choice(n, size=K, replace=False)].copy()
     assignment: np.ndarray | None = None
     trace: list[float] = []
-    iterations = 0
     for _ in range(max_iters):
-        iterations += 1
         proposed, sq = _nearest(X, centroids)
         repaired = repair_empty(proposed, K, lambda own: sq[np.arange(own.shape[0]), own])
         for m in range(K):
@@ -112,7 +104,7 @@ def kmeans_fit(
         centroids=centroids,
         K=K,
         inertia=trace[-1],
-        iterations_run=iterations,
+        iterations_run=len(trace),
         inertia_trace=tuple(trace),
     )
     return model, Partition(assignment, K)

@@ -8,6 +8,7 @@ lower row index.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -33,6 +34,29 @@ def require_int_array(values: object, name: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def require_real(value: object, name: str) -> float:
+    """value as a float; raises ParameterError unless it is a finite real number (bool excluded)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.bool_))
+    # The bound test is false for NaN, infinities and integers beyond the float range.
+    if not real or not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def real_matrix(values: object, name: str) -> np.ndarray:
+    """Integer or real values as a finite float64 (n, d) matrix with n, d >= 1;
+    raises ParameterError otherwise."""
+    matrix = np.asarray(values)
+    if matrix.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must hold real numbers, got {matrix.dtype} entries")
+    matrix = matrix.astype(np.float64, copy=False)
+    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
+        raise ParameterError(f"{name} must be a nonempty (N, d) matrix, got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ParameterError(f"{name} contain NaN or Inf entries")
+    return matrix
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """N feature vectors with integer class labels.
@@ -47,13 +71,9 @@ class LabeledDataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
+        features = real_matrix(self.features, "features")
         labels = require_int_array(self.labels, "labels")
         names = tuple(str(name) for name in self.class_names)
-        if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
-            raise ParameterError(f"features must be a nonempty (N, d) matrix, got {features.shape}")
-        if not np.all(np.isfinite(features)):
-            raise ParameterError("features contain NaN or Inf entries")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise ParameterError(
                 f"labels must be a length-{features.shape[0]} vector, got shape {labels.shape}"

@@ -10,7 +10,7 @@ distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -24,8 +24,10 @@ from .label_model import (
     LabeledDataset,
     estimate_all,
     label_distributions,
+    real_matrix,
     require_int,
     require_int_array,
+    require_real,
 )
 from .partition import Partition, repair_empty
 
@@ -60,43 +62,36 @@ class QuantizerConfig:
 
 @dataclass(frozen=True)
 class QuantizerModel:
-    """A fitted quantizer: subset distributions plus the training references
+    """A fitted quantizer: subset distributions plus the labeled training set
     needed to estimate label distributions for new vectors."""
 
     kind: ClassVar[str] = "klvq"
 
     subset_dists: np.ndarray
     config: QuantizerConfig
-    training_features: np.ndarray
-    training_labels: np.ndarray
-    class_names: tuple[str, ...]
+    training_set: LabeledDataset
     final_objective: float
     iterations_run: int
     converged: bool
-    _training_set: LabeledDataset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        dists = np.asarray(self.subset_dists, dtype=np.float64)
-        if dists.ndim != 2 or dists.shape[0] != self.config.M:
-            raise ParameterError(f"subset_dists must be ({self.config.M}, C), got {dists.shape}")
-        if not np.all(np.isfinite(dists)):
-            raise ParameterError("subset_dists contain NaN or Inf entries")
+        M, C, n = self.config.M, self.training_set.num_classes, self.training_set.n
+        dists = real_matrix(self.subset_dists, "subset_dists")
+        if dists.shape != (M, C):
+            raise ParameterError(f"subset_dists must be ({M}, {C}), got {dists.shape}")
         sums = dists.sum(axis=1)
         if np.any(dists < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
             raise ParameterError("subset_dists rows must be distributions summing to 1")
         if self.config.smoothing.epsilon > 0 and np.any(dists <= 0):
             raise ParameterError("smoothed subset_dists must be strictly positive")
-        if not np.isfinite(self.final_objective) or self.final_objective < -1e-9:
-            raise ParameterError(f"final_objective must be finite and >= -1e-9, got {self.final_objective}")
+        if self.config.knn.k > n:
+            raise ParameterError(f"k={self.config.knn.k} exceeds the {n} training rows")
+        if require_real(self.final_objective, "final_objective") < -1e-9:
+            raise ParameterError(f"final_objective must be >= -1e-9, got {self.final_objective}")
         require_int(self.iterations_run, "iterations_run")
         if not isinstance(self.converged, (bool, np.bool_)):
             raise ParameterError(f"converged must be true or false, got {self.converged!r}")
-        training_set = LabeledDataset(self.training_features, self.training_labels, self.class_names)
         object.__setattr__(self, "subset_dists", dists)
-        object.__setattr__(self, "training_features", training_set.features)
-        object.__setattr__(self, "training_labels", training_set.labels)
-        object.__setattr__(self, "class_names", training_set.class_names)
-        object.__setattr__(self, "_training_set", training_set)
 
     @property
     def M(self) -> int:
@@ -109,7 +104,7 @@ class QuantizerModel:
         training set; its code is the KL argmin over the subset
         distributions (lowest index on ties).
         """
-        point_dists = label_distributions(self._training_set, queries, self.config.knn)
+        point_dists = label_distributions(self.training_set, queries, self.config.knn)
         out = np.empty(point_dists.shape[0], dtype=np.int64)
         step = max(1, BLOCK_CELLS // self.subset_dists.size)
         for start in range(0, out.shape[0], step):
@@ -249,9 +244,7 @@ def fit(
     model = QuantizerModel(
         subset_dists=subset_dists,
         config=config,
-        training_features=dataset.features,
-        training_labels=dataset.labels,
-        class_names=dataset.class_names,
+        training_set=dataset,
         final_objective=trace[-1],
         iterations_run=len(trace),
         converged=converged,

@@ -374,10 +374,10 @@ def test_criterion_9_determinism_and_persistence(tmp_path, capsys):
             save_model(model, path)
             again = load_model(path)
             assert again.config == model.config
-            assert again.class_names == model.class_names
+            assert again.training_set.class_names == model.training_set.class_names
             np.testing.assert_array_equal(again.subset_dists, model.subset_dists)
-            np.testing.assert_array_equal(again.training_features, model.training_features)
-            np.testing.assert_array_equal(again.training_labels, model.training_labels)
+            np.testing.assert_array_equal(again.training_set.features, model.training_set.features)
+            np.testing.assert_array_equal(again.training_set.labels, model.training_set.labels)
             assert again.final_objective == model.final_objective
             assert (again.iterations_run, again.converged) == (
                 model.iterations_run, model.converged

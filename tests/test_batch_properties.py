@@ -115,9 +115,7 @@ def test_quantizer_codes_match_oracle(dim, data):
     model = QuantizerModel(
         subset_dists=subset_dists,
         config=QuantizerConfig(M=subset_dists.shape[0], knn=config),
-        training_features=dataset.features,
-        training_labels=dataset.labels,
-        class_names=dataset.class_names,
+        training_set=dataset,
         final_objective=0.0,
         iterations_run=1,
         converged=True,

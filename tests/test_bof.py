@@ -29,8 +29,7 @@ def first_column(descriptors):
 
 
 def histogram(counts):
-    counts = np.asarray(counts)
-    return BofHistogram(counts=counts, normalized=counts / counts.sum())
+    return BofHistogram(counts=np.asarray(counts))
 
 
 class TestBuildHistogram:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +64,19 @@ class TestFitCommand:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_one_before_fitting(self, dataset_csv, tmp_path, capsys, epsilon):
+        model_path = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "fit", "--input", dataset_csv, "--subsets", 2, "--epsilon", epsilon,
+                "--output", model_path,
+            )
+        assert (code, out) == (1, "")
+        assert f"epsilon must be a finite real number, got {epsilon}" in err
+        assert not model_path.exists()
 
     def test_byte_identical_reruns(self, dataset_csv, tmp_path, capsys):
         args = (
@@ -239,40 +254,125 @@ iteration,inertia
 """
 
 
+GOLDEN_KLVQ_EVAL = """\
+quantizer: klvq
+overall_accuracy: 0.5
+class    accuracy
+class_0  0.5
+class_1  1
+class_2  0
+confusion matrix CSV (rows = true class, columns = predicted):
+class,class_0,class_1,class_2
+class_0,1,1,0
+class_1,0,2,0
+class_2,0,2,0
+"""
+
+GOLDEN_KMEANS_EVAL = """\
+quantizer: kmeans
+overall_accuracy: 0
+class    accuracy
+class_0  0
+class_1  0
+class_2  0
+confusion matrix CSV (rows = true class, columns = predicted):
+class,class_0,class_1,class_2
+class_0,0,2,0
+class_1,2,0,0
+class_2,2,0,0
+"""
+
+GOLDEN_KLVQ_INFO = """\
+format_version: 1
+kind: klvq
+subsets: 4
+classes: 3 (class_0,class_1,class_2)
+training_vectors: 30
+dimension: 2
+knn_k: 4
+include_self: true
+epsilon: 9.9999999999999995e-07
+max_iters: 8
+seed: 0
+init: random
+update_mode: paper
+iterations_run: 8
+converged: false
+final_objective: 5.5706838061937267
+"""
+
+GOLDEN_KMEANS_INFO = """\
+format_version: 1
+kind: kmeans
+clusters: 4
+dimension: 2
+iterations_run: 3
+inertia: 10956.100063008869
+"""
+
+GOLDEN_MODEL_SHA256 = {
+    "paper.json": "08b32a587873f286750fa3fa7fbb3af08c78c0f0ea5e58a5a2c107e8849c1755",
+    "centroid.json": "3afb3fa9694616c0f7061d27f29e02379646de7080045550cef9c9ea7d948abe",
+    "kmeans.json": "f48b10d29356091c96fb9bfea816874c81ee3691741cb6a91ad020a79b75656c",
+}
+
+
 class TestGoldenOutput:
     """Exact stdout of seeded runs. A change to any printed value or trace
     line shows here; a change that alters them on purpose updates the pins
     and says which lines changed and why."""
 
-    def test_synth_and_fits_print_pinned_text(self, tmp_path, capsys):
+    def synth_and_fit(self, tmp_path, capsys):
+        """Write the seeded benchmark and fit the three pinned models; returns
+        the synth stdout, then each fit's (exit code, stdout)."""
         bench = tmp_path / "bench"
-        code, out, _ = run(
+        code, synth_out, _ = run(
             capsys, "synth", "--seed", 2, "--classes", 3, "--items-per-class", 2,
             "--descriptors", 5, "--dim", 2, "--noise", 1.0, "--out-dir", bench,
         )
         assert code == 0
-        assert out == (
-            "train items: 6\ntest items: 6\npooled training descriptors: 30\n"
-            f"wrote {bench / 'train'}, {bench / 'test'}, {bench / 'descriptors.csv'}\n"
-        )
         data = bench / "descriptors.csv"
         # Paper mode, random init: iterations 2-8 each repair one empty
         # subset, and the fit cycles until --max-iters.
-        code, out, _ = run(
+        paper = run(
             capsys, "fit", "--input", data, "--subsets", 4, "--knn", 4, "--seed", 0,
             "--max-iters", 8, "--output", tmp_path / "paper.json",
-        )
-        assert (code, out) == (0, GOLDEN_PAPER_FIT)
-        code, out, _ = run(
+        )[:2]
+        centroid = run(
             capsys, "fit", "--input", data, "--subsets", 4, "--knn", 4, "--mode", "centroid",
             "--init", "kmeans", "--seed", 1, "--output", tmp_path / "centroid.json",
-        )
-        assert (code, out) == (0, GOLDEN_CENTROID_FIT)
-        code, out, _ = run(
+        )[:2]
+        kmeans = run(
             capsys, "kmeans-fit", "--input", data, "--clusters", 4, "--seed", 2,
             "--output", tmp_path / "kmeans.json",
+        )[:2]
+        return synth_out, paper, centroid, kmeans
+
+    def test_synth_and_fits_print_pinned_text(self, tmp_path, capsys):
+        synth_out, paper, centroid, kmeans = self.synth_and_fit(tmp_path, capsys)
+        bench = tmp_path / "bench"
+        assert synth_out == (
+            "train items: 6\ntest items: 6\npooled training descriptors: 30\n"
+            f"wrote {bench / 'train'}, {bench / 'test'}, {bench / 'descriptors.csv'}\n"
         )
-        assert (code, out) == (0, GOLDEN_KMEANS_FIT)
+        assert paper == (0, GOLDEN_PAPER_FIT)
+        assert centroid == (0, GOLDEN_CENTROID_FIT)
+        assert kmeans == (0, GOLDEN_KMEANS_FIT)
+
+    def test_eval_info_and_model_files_are_pinned(self, tmp_path, capsys):
+        self.synth_and_fit(tmp_path, capsys)
+        bench = tmp_path / "bench"
+        for name, want in (("paper.json", GOLDEN_KLVQ_EVAL), ("kmeans.json", GOLDEN_KMEANS_EVAL)):
+            for distance in ("l1", "l2"):
+                got = run(
+                    capsys, "eval-bof", "--train-dir", bench / "train", "--test-dir",
+                    bench / "test", "--model", tmp_path / name, "--distance", distance,
+                )
+                assert got == (0, want, ""), (name, distance)
+        assert run(capsys, "info", "--model", tmp_path / "paper.json") == (0, GOLDEN_KLVQ_INFO, "")
+        assert run(capsys, "info", "--model", tmp_path / "kmeans.json") == (0, GOLDEN_KMEANS_INFO, "")
+        for name, digest in GOLDEN_MODEL_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestInfoCommand:

@@ -120,6 +120,11 @@ class TestSmooth:
         with pytest.raises(ParameterError):
             SmoothingConfig(-1e-9)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, True, "0.1"])
+    def test_non_finite_or_non_real_epsilon_raises(self, epsilon):
+        with pytest.raises(ParameterError, match="epsilon must be a finite real number"):
+            SmoothingConfig(epsilon)
+
     def test_output_is_a_distribution_for_random_counts(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

@@ -93,6 +93,25 @@ class TestKmeansFit:
             kmeans_fit(np.array([[np.nan, 0.0]]), 1, seed=0)
 
 
+class TestKmeansModelValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"inertia": np.nan},
+            {"inertia": np.inf},
+            {"inertia": True},
+            {"inertia_trace": (1.0, np.nan)},
+            {"inertia_trace": (np.inf,)},
+            {"inertia_trace": "12"},
+        ],
+        ids=["nan-inertia", "inf-inertia", "boolean-inertia", "nan-trace", "inf-trace", "string-trace"],
+    )
+    def test_non_finite_or_non_real_diagnostics_raise(self, kwargs):
+        fields = {"centroids": TWO_CLUSTERS, "K": 4, "inertia": 1.0, "iterations_run": 1, **kwargs}
+        with pytest.raises(ParameterError, match="finite real number"):
+            KmeansModel(**fields)
+
+
 class TestKmeansAssign:
     @pytest.fixture
     def model(self):

@@ -470,9 +470,7 @@ class TestQuantize:
         return QuantizerModel(
             subset_dists=np.array(subset_dists),
             config=config,
-            training_features=dataset.features,
-            training_labels=dataset.labels,
-            class_names=dataset.class_names,
+            training_set=dataset,
             final_objective=0.0,
             iterations_run=1,
             converged=True,
@@ -533,9 +531,7 @@ class TestModelValidation:
             QuantizerModel(
                 subset_dists=np.array([[0.7, 0.7]]),
                 config=config,
-                training_features=dataset.features,
-                training_labels=dataset.labels,
-                class_names=dataset.class_names,
+                training_set=dataset,
                 final_objective=0.0,
                 iterations_run=1,
                 converged=True,
@@ -548,10 +544,27 @@ class TestModelValidation:
             QuantizerModel(
                 subset_dists=np.array([[0.5, 0.5]]),
                 config=config,
-                training_features=dataset.features,
-                training_labels=dataset.labels,
-                class_names=dataset.class_names,
+                training_set=dataset,
                 final_objective=math.inf,
+                iterations_run=1,
+                converged=True,
+            )
+
+    @pytest.mark.parametrize(
+        "subset_dists, k, message",
+        [
+            ([[0.5, 0.5]], 2, r"subset_dists must be \(1, 3\)"),
+            ([[0.2, 0.3, 0.5]], 4, "k=4 exceeds the 3 training rows"),
+        ],
+        ids=["one-column-per-class", "k-beyond-training-rows"],
+    )
+    def test_rejects_model_its_training_set_cannot_serve(self, subset_dists, k, message):
+        with pytest.raises(ParameterError, match=message):
+            QuantizerModel(
+                subset_dists=np.array(subset_dists),
+                config=QuantizerConfig(M=1, knn=KnnConfig(k=k)),
+                training_set=grouped_dataset([[0, 1, 2]]),
+                final_objective=0.0,
                 iterations_run=1,
                 converged=True,
             )
