@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .label_model import LabeledDataset, real_matrix
+from .label_model import LabeledDataset, real_matrix, require_int
 
 DISTANCES = ("l1", "l2")
 
@@ -36,6 +36,11 @@ class FeatureBag:
     def __post_init__(self) -> None:
         descriptors = real_matrix(self.descriptors, f"descriptors of item {self.item_id!r}")
         object.__setattr__(self, "descriptors", descriptors)
+        if self.label is not None:
+            label = require_int(self.label, f"label of item {self.item_id!r}")
+            if label < 0:
+                raise ParameterError(f"label of item {self.item_id!r} must be >= 0, got {label}")
+            object.__setattr__(self, "label", label)
 
     @property
     def size(self) -> int:

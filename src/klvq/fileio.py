@@ -22,7 +22,7 @@ from .bof import FeatureBag
 from .divergence import SmoothingConfig
 from .errors import DatasetFormatError, ModelFormatError, ParameterError
 from .kmeans import KmeansModel
-from .label_model import KnnConfig, LabeledDataset
+from .label_model import KnnConfig, LabeledDataset, require_int
 from .quantizer import QuantizerConfig, QuantizerModel
 
 FORMAT_VERSION = 1
@@ -247,13 +247,16 @@ def load_model(path: str | Path) -> Model:
                 converged=payload["converged"],
             )
         if kind == "kmeans":
-            return KmeansModel(
+            model = KmeansModel(
                 centroids=payload["centroids"],
                 K=payload["K"],
                 inertia=payload["inertia"],
                 iterations_run=payload["iterations_run"],
                 inertia_trace=tuple(payload.get("inertia_trace", ())),
             )
+            if require_int(payload["config"]["K"], "config.K") != model.K:
+                raise ValueError(f"config.K {payload['config']['K']} disagrees with K {model.K}")
+            return model
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model ({exc})") from None
     raise ModelFormatError(f"{path}: unknown model kind {kind!r}; expected klvq or kmeans")

@@ -38,6 +38,8 @@ class KmeansModel:
             raise ParameterError(f"inertia must be >= 0, got {self.inertia}")
         require_int(self.iterations_run, "iterations_run")
         trace = tuple(require_real(v, "inertia_trace entries") for v in self.inertia_trace)
+        if trace and trace[-1] != self.inertia:
+            raise ParameterError(f"inertia {self.inertia} is not the last inertia_trace entry {trace[-1]}")
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "inertia_trace", trace)
 

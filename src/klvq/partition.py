@@ -51,18 +51,22 @@ def repair_empty(
     point index on ties. Donors come only from subsets with at least two
     members. own_cost is called once, only if some subset is empty; with
     none, assignment itself is returned.
+
+    A subset only shrinks until one of its points moves, and a moved point
+    sits alone in its new subset, so a point that is not a donor never
+    becomes one. The donors therefore leave in one fixed order, and one
+    sort by (cost descending, index ascending) serves every empty subset.
     """
     sizes = np.bincount(assignment, minlength=M)
     empties = np.flatnonzero(sizes == 0)
     if empties.size == 0:
         return assignment
     assignment = assignment.copy()
-    cost = own_cost(assignment)
+    order = iter(np.argsort(-own_cost(assignment), kind="stable"))
     for target in empties:
-        donors = np.flatnonzero(sizes[assignment] >= 2)
-        if donors.size == 0:
+        best = next((point for point in order if sizes[assignment[point]] >= 2), None)
+        if best is None:
             raise DomainError("cannot repair empty subsets: fewer points than subsets")
-        best = donors[np.lexsort((donors, -cost[donors]))[0]]
         sizes[assignment[best]] -= 1
         assignment[best] = target
         sizes[target] += 1

@@ -11,7 +11,7 @@ distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -102,15 +102,34 @@ class QuantizerModel:
 
         Each row's label distribution is estimated by kNN against the
         training set; its code is the KL argmin over the subset
-        distributions (lowest index on ties).
+        distributions (lowest index on ties), taken once per distinct
+        distribution.
         """
-        point_dists = label_distributions(self.training_set, queries, self.config.knn)
-        out = np.empty(point_dists.shape[0], dtype=np.int64)
+        distinct, inverse = _distinct_rows(
+            label_distributions(self.training_set, queries, self.config.knn)
+        )
+        out = np.empty(distinct.shape[0], dtype=np.int64)
         step = max(1, BLOCK_CELLS // self.subset_dists.size)
         for start in range(0, out.shape[0], step):
-            kls = kl_matrix(point_dists[start : start + step], self.subset_dists)
+            kls = kl_matrix(distinct[start : start + step], self.subset_dists)
             out[start : start + step] = np.argmin(kls, axis=1)
-        return out
+        return out[inverse]
+
+
+def _distinct_rows(point_dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of point_dists, and each row's index among them.
+
+    A kNN label distribution is a count vector over C classes divided by k,
+    so it takes at most C(k+C-1, C-1) values; the KL of a row is computed
+    once per value and looked up for every row that shares it. Rows are
+    compared as raw bytes, which sorts several times faster than
+    np.unique(axis=0) and leaves every lookup exact: rows with equal bytes
+    are equal floats, and the order of the distinct rows is never used.
+    """
+    rows = np.ascontiguousarray(point_dists, dtype=np.float64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
 
 
 def update_subset_distributions(
@@ -160,15 +179,13 @@ def assign_step(point_dists: np.ndarray, subset_dists: np.ndarray) -> Partition:
 
 def _repair_empty_subsets(
     assignment: np.ndarray,
-    subset_dists: np.ndarray,
-    point_dists: np.ndarray,
+    M: int,
+    kl_to_own: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """repair_empty with a point's KL to its own subset's distribution as its cost."""
-    return repair_empty(
-        assignment,
-        subset_dists.shape[0],
-        lambda own: _kl_terms(point_dists, subset_dists[own]).sum(axis=1),
-    )
+    """repair_empty with kl_to_own(assignment), each point's KL to its own
+    subset's distribution, as the cost. fit and init_partition both repair
+    through here, so the repairs of one fit can be observed in one place."""
+    return repair_empty(assignment, M, kl_to_own)
 
 
 def init_partition(
@@ -189,12 +206,12 @@ def init_partition(
     if not occupied.all():
         if point_dists is None:
             point_dists = estimate_all(dataset, config.knn)
-        # The repair reads only the distributions of the subsets the points
-        # sit in. Those of the empty subsets stay zero: smoothing a subset
-        # with no members is undefined at epsilon = 0.
+        # The repair reads only the KL of each point to the subset it sits
+        # in, so only the occupied subsets get a distribution: smoothing a
+        # subset with no members is undefined at epsilon = 0, and compact
+        # maps an occupied subset to its row.
         compact = np.cumsum(occupied) - 1
-        subset_dists = np.zeros((config.M, dataset.num_classes))
-        subset_dists[occupied] = update_subset_distributions(
+        subset_dists = update_subset_distributions(
             Partition(compact[assignment], int(occupied.sum())),
             dataset.labels,
             dataset.num_classes,
@@ -202,7 +219,11 @@ def init_partition(
             point_dists,
             config.smoothing,
         )
-        assignment = _repair_empty_subsets(assignment, subset_dists, point_dists)
+        assignment = _repair_empty_subsets(
+            assignment,
+            config.M,
+            lambda own: _kl_terms(point_dists, subset_dists[compact[own]]).sum(axis=1),
+        )
     return Partition(assignment, config.M)
 
 
@@ -214,16 +235,17 @@ def fit(
 
     Starts from init_partition, stops at the first assignment fixpoint or
     after max_iters. Empty subsets produced by an assignment step are
-    repaired before the next update. Each iteration evaluates the (N, M) KL
-    matrix once and reads from it both assign_step's proposal and the
-    objective of the repaired partition. Returns the fitted model, the final
-    partition, and the objective value recorded after each full iteration.
+    repaired before the next update. Each iteration evaluates the (U, M) KL
+    matrix of the U distinct point distributions once and reads from it
+    assign_step's proposal, the repair costs and the objective of the
+    repaired partition. Returns the fitted model, the final partition, and
+    the objective value recorded after each full iteration.
     """
     point_dists = estimate_all(dataset, config.knn)
     assignment = init_partition(dataset, config, point_dists).assignment
+    distinct, inverse = _distinct_rows(point_dists)
     trace: list[float] = []
     converged = False
-    rows = np.arange(dataset.n)
     for _ in range(config.max_iters):
         subset_dists = update_subset_distributions(
             Partition(assignment, config.M),
@@ -233,10 +255,10 @@ def fit(
             point_dists,
             config.smoothing,
         )
-        kls = kl_matrix(point_dists, subset_dists)
-        proposed = np.argmin(kls, axis=1)
-        repaired = _repair_empty_subsets(proposed, subset_dists, point_dists)
-        trace.append(float(kls[rows, repaired].sum()))
+        kls = kl_matrix(distinct, subset_dists)
+        proposed = np.argmin(kls, axis=1)[inverse]
+        repaired = _repair_empty_subsets(proposed, config.M, lambda own: kls[inverse, own])
+        trace.append(float(kls[inverse, repaired].sum()))
         if np.array_equal(proposed, assignment):
             converged = True
             break

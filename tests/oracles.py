@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
-Everything here is deliberately written with plain Python loops and
-math.log so it shares no code with the implementation under test.
+Everything here is deliberately written with plain Python loops, math.log
+and the most direct numpy calls, so it shares no code with the
+implementation under test.
 """
 
 import math
+
+import numpy as np
 
 
 def oracle_knn(features, query, k, exclude_index=None):
@@ -49,6 +52,23 @@ def oracle_objective(point_dists, assignment, subset_dists):
                 if a == m and point_dists[i][y] > 0.0:
                     total += point_dists[i][y] * math.log(point_dists[i][y] / subset_dists[m][y])
     return total
+
+
+def oracle_repair(assignment, M, cost):
+    """Fill each subset that starts empty, in ascending order, with the point
+    of largest cost (lowest index on ties) among the members of subsets that
+    still hold two or more points; donors are recomputed after every move.
+    cost[i] is point i's cost in its starting subset. Raises LookupError when
+    no donor is left."""
+    assignment = np.array(assignment, dtype=np.int64)
+    cost = np.asarray(cost, dtype=np.float64)
+    for target in [m for m in range(M) if m not in assignment]:
+        sizes = np.bincount(assignment, minlength=M)
+        donors = np.flatnonzero(sizes[assignment] >= 2)
+        if donors.size == 0:
+            raise LookupError("no subset has a point to spare")
+        assignment[donors[np.lexsort((donors, -cost[donors]))[0]]] = target
+    return assignment
 
 
 def oracle_nearest(centroids, query):

@@ -5,8 +5,9 @@ so that distance ties, including ties at the kth neighbor, are common. The
 block size is also drawn, so that batches cross block boundaries.
 
 The fit loop's premises are pinned the same way: its own-subset KL terms,
-subset distributions and smoothing equal, bit for bit, the per-point and
-per-subset formulas they replace.
+distinct-row KL lookups, subset distributions, smoothing and one-sort
+empty-subset repair equal, bit for bit, the per-point, per-subset and
+per-empty-subset formulas they replace.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from klvq import (
+    DomainError,
     KmeansModel,
     KnnConfig,
     LabeledDataset,
@@ -28,13 +30,14 @@ from klvq import (
     estimate_all,
     kl_matrix,
     label_distributions,
+    repair_empty,
     smooth,
     update_subset_distributions,
 )
 from klvq import kmeans, label_model, quantizer
 from klvq.divergence import _kl_terms
 
-from oracles import oracle_assign, oracle_knn, oracle_nearest
+from oracles import oracle_assign, oracle_knn, oracle_nearest, oracle_repair
 
 DIMS = (1, 2, 3, 7, 8, 16)
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -167,6 +170,52 @@ def test_kl_matrix_entries_equal_own_subset_terms(num_classes, data):
     np.testing.assert_array_equal(
         kl_matrix(P, Q)[np.arange(n), assignment], _kl_terms(P, Q[assignment]).sum(axis=1)
     )
+
+
+@pytest.mark.parametrize("num_classes", range(1, 21))
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_kl_matrix_rows_do_not_depend_on_the_other_rows(num_classes, data):
+    """fit and codes take the KL of each distinct distribution once and look
+    it up for every row that shares it: the lookup equals the KL matrix of
+    all rows."""
+    values = data.draw(distributions(data.draw(st.integers(1, 8)), num_classes))
+    rows = data.draw(arrays(np.int64, data.draw(st.integers(1, 40)), elements=st.integers(0, values.shape[0] - 1)))
+    P = values[rows]
+    Q = data.draw(distributions(data.draw(st.integers(1, 12)), num_classes, positive=True))
+    distinct, inverse = quantizer._distinct_rows(P)
+    np.testing.assert_array_equal(distinct[inverse], P)
+    np.testing.assert_array_equal(kl_matrix(distinct, Q)[inverse], kl_matrix(P, Q))
+
+
+@st.composite
+def repair_cases(draw):
+    """An assignment with many empty subsets and costs drawn from a few values,
+    so ties are common. Some cases have fewer points than subsets; in others
+    a subset runs out of points to spare while its worst fits are still
+    ahead in the walk."""
+    M = draw(st.integers(1, 24))
+    n = draw(st.integers(max(1, M - 2), 2 * M + 4))
+    occupied = draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=M, unique=True))
+    assignment = np.array(occupied)[draw(arrays(np.int64, n, elements=st.integers(0, len(occupied) - 1)))]
+    levels = draw(st.lists(st.floats(0.0, 5.0, allow_subnormal=False), min_size=1, max_size=4))
+    cost = np.array(levels)[draw(arrays(np.int64, n, elements=st.integers(0, len(levels) - 1)))]
+    return assignment, M, cost
+
+
+@settings(SETTINGS, max_examples=300)
+@given(case=repair_cases())
+def test_repair_equals_per_empty_subset_oracle(case):
+    assignment, M, cost = case
+    before = assignment.copy()
+    try:
+        want = oracle_repair(assignment, M, cost)
+    except LookupError:
+        with pytest.raises(DomainError, match="fewer points than subsets"):
+            repair_empty(assignment, M, lambda own: cost)
+    else:
+        np.testing.assert_array_equal(repair_empty(assignment, M, lambda own: cost), want)
+    np.testing.assert_array_equal(assignment, before)
 
 
 def per_subset_distributions(assignment, M, labels, num_classes, mode, point_dists, smoothing):

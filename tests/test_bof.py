@@ -125,6 +125,16 @@ class TestEvaluate:
             if row.sum() > 0:
                 assert report.per_class_accuracy[c] == row[c] / row.sum()
 
+    @pytest.mark.parametrize("label", [-1, 1.0, 1.5, "1", True])
+    def test_negative_or_non_integer_bag_label_raises(self, label):
+        with pytest.raises(ParameterError, match="label of item 'item'"):
+            bag_of([0], label=label)
+
+    def test_integer_bag_labels_are_stored_as_int(self):
+        bag = bag_of([0], label=np.int64(2))
+        assert type(bag.label) is int and bag.label == 2
+        assert bag_of([0]).label is None
+
     def test_missing_labels_raise(self):
         with pytest.raises(ParameterError):
             evaluate([bag_of([0], label=None)], [bag_of([0], label=0)], "t", first_column, 1)

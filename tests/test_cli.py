@@ -310,6 +310,23 @@ iterations_run: 3
 inertia: 10956.100063008869
 """
 
+GOLDEN_REPAIR_FIT = """\
+iterations: 8
+converged: false
+final_objective: 47.218627310325388
+iteration,objective
+1,52.660055254124543
+2,57.926144901474125
+3,47.218627310325388
+4,47.218627310325388
+5,47.218627310325388
+6,47.218627310325388
+7,47.218627310325388
+8,47.218627310325388
+"""
+
+GOLDEN_REPAIR_SHA256 = "49f3e353a87db531714624d61289f2b0d5f9b139802e4ea0c68c5816cff0f735"
+
 GOLDEN_MODEL_SHA256 = {
     "paper.json": "08b32a587873f286750fa3fa7fbb3af08c78c0f0ea5e58a5a2c107e8849c1755",
     "centroid.json": "3afb3fa9694616c0f7061d27f29e02379646de7080045550cef9c9ea7d948abe",
@@ -322,16 +339,20 @@ class TestGoldenOutput:
     line shows here; a change that alters them on purpose updates the pins
     and says which lines changed and why."""
 
+    def synth(self, tmp_path, capsys):
+        """Write the seeded benchmark; returns the synth stdout."""
+        code, synth_out, _ = run(
+            capsys, "synth", "--seed", 2, "--classes", 3, "--items-per-class", 2,
+            "--descriptors", 5, "--dim", 2, "--noise", 1.0, "--out-dir", tmp_path / "bench",
+        )
+        assert code == 0
+        return synth_out
+
     def synth_and_fit(self, tmp_path, capsys):
         """Write the seeded benchmark and fit the three pinned models; returns
         the synth stdout, then each fit's (exit code, stdout)."""
-        bench = tmp_path / "bench"
-        code, synth_out, _ = run(
-            capsys, "synth", "--seed", 2, "--classes", 3, "--items-per-class", 2,
-            "--descriptors", 5, "--dim", 2, "--noise", 1.0, "--out-dir", bench,
-        )
-        assert code == 0
-        data = bench / "descriptors.csv"
+        synth_out = self.synth(tmp_path, capsys)
+        data = tmp_path / "bench" / "descriptors.csv"
         # Paper mode, random init: iterations 2-8 each repair one empty
         # subset, and the fit cycles until --max-iters.
         paper = run(
@@ -373,6 +394,19 @@ class TestGoldenOutput:
         assert run(capsys, "info", "--model", tmp_path / "kmeans.json") == (0, GOLDEN_KMEANS_INFO, "")
         for name, digest in GOLDEN_MODEL_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_repair_heavy_paper_fit_is_pinned(self, tmp_path, capsys):
+        # 12 subsets on 30 rows of at most 15 distinct kNN distributions:
+        # init_partition repairs 2 empty subsets, iteration 1 repairs 7 and
+        # every later iteration 9.
+        self.synth(tmp_path, capsys)
+        model = tmp_path / "repair.json"
+        got = run(
+            capsys, "fit", "--input", tmp_path / "bench" / "descriptors.csv", "--subsets", 12,
+            "--knn", 4, "--seed", 0, "--max-iters", 8, "--output", model,
+        )
+        assert got == (0, GOLDEN_REPAIR_FIT, "")
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_REPAIR_SHA256
 
 
 class TestInfoCommand:

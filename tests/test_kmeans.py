@@ -112,6 +112,13 @@ class TestKmeansModelValidation:
             KmeansModel(**fields)
 
 
+    def test_inertia_must_be_the_last_trace_entry(self):
+        fields = {"centroids": TWO_CLUSTERS, "K": 4, "iterations_run": 2}
+        assert KmeansModel(**fields, inertia=1.0, inertia_trace=(2.0, 1.0)).inertia == 1.0
+        with pytest.raises(ParameterError, match="last inertia_trace entry"):
+            KmeansModel(**fields, inertia=2.0, inertia_trace=(2.0, 1.0))
+
+
 class TestKmeansAssign:
     @pytest.fixture
     def model(self):

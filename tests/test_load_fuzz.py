@@ -1,7 +1,8 @@
 """Malformed model and dataset files.
 
 Each mutation of a valid saved file (a truncation, NaN or Infinity in a real
-field, a wrong JSON type, a wrong shape) must make the loader raise its
+field, a wrong JSON type, a wrong shape, two copies of one fact that
+disagree) must make the loader raise its
 documented error type, and the CLI must exit 1 with nothing on standard
 output. The cases are a fixed table, so every run checks the same inputs.
 """
@@ -152,11 +153,34 @@ WRONG_ENTRIES = [
 ]
 
 
-@pytest.mark.parametrize("kind, field, value", NON_FINITE + WRONG_TYPES + WRONG_SHAPES + WRONG_ENTRIES)
+DISAGREEING_COPIES = [
+    pytest.param(kind, field, value, id=f"{kind}-{'.'.join(map(str, field))}-{name}")
+    for kind, field, name, value in [
+        ("kmeans", ("config", "K"), "one-more", lambda K: K + 1),
+        ("kmeans", ("config", "K"), "boolean", True),
+        ("kmeans", ("config", "K"), "string", "3"),
+        ("kmeans", ("config",), "no-K", {}),
+        ("kmeans", ("config",), "list", [3]),
+        ("kmeans", ("inertia",), "not-last-trace-entry", lambda inertia: inertia + 1.0),
+        ("kmeans", ("inertia_trace",), "one-more-entry", lambda trace: trace + [trace[-1] + 1.0]),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "kind, field, value", NON_FINITE + WRONG_TYPES + WRONG_SHAPES + WRONG_ENTRIES + DISAGREEING_COPIES
+)
 def test_mutated_model_is_rejected(files, tmp_path, capsys, kind, field, value):
     path = tmp_path / "model.json"
     path.write_text(mutated(files[kind], field, value))
     assert_model_rejected(path, files["data"], capsys)
+
+
+def test_kmeans_model_with_empty_trace_loads(files, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(mutated(files["kmeans"], ("inertia_trace",), []))
+    model = load_model(path)
+    assert (model.K, model.inertia_trace) == (3, ())
 
 
 @pytest.mark.parametrize("fraction", TRUNCATIONS)

@@ -17,15 +17,17 @@ from klvq import (
     fit,
     init_partition,
     kl_matrix,
+    label_distributions,
     objective,
     quantize,
     repair_empty,
     smooth,
     update_subset_distributions,
 )
+from klvq import quantizer
 from klvq.quantizer import _repair_empty_subsets
 
-from oracles import oracle_assign, oracle_objective
+from oracles import oracle_assign, oracle_objective, oracle_repair
 
 E0 = SmoothingConfig(0.0)
 E6 = SmoothingConfig(1e-6)
@@ -318,6 +320,15 @@ class TestRepairEmptySubsets:
         repaired = repair_empty(np.array([0, 0, 1]), 3, lambda assignment: costs)
         assert repaired.tolist() == [0, 2, 1]
 
+    def test_skips_a_subset_whose_donors_run_dry_mid_walk(self):
+        # Subset 0 gives up point 0 to subset 2 and is then down to one
+        # member, so its second-worst point 1 is passed over for point 2.
+        costs = np.array([9.0, 8.0, 1.0, 1.0, 1.0])
+        assignment = np.array([0, 0, 1, 1, 1])
+        repaired = repair_empty(assignment, 4, lambda own: costs)
+        assert repaired.tolist() == [2, 0, 3, 1, 1]
+        assert repaired.tolist() == oracle_repair(assignment, 4, costs).tolist()
+
     def test_never_leaves_or_creates_empty_subsets(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -330,7 +341,9 @@ class TestRepairEmptySubsets:
             repaired = repair_empty(assignment, num_subsets, kl_to_own(P, Q))
             assert np.bincount(repaired, minlength=num_subsets).min() >= 1
             # The quantizer's KL adapter makes the same moves.
-            np.testing.assert_array_equal(_repair_empty_subsets(assignment, Q, P), repaired)
+            np.testing.assert_array_equal(
+                _repair_empty_subsets(assignment, num_subsets, kl_to_own(P, Q)), repaired
+            )
 
 
 class TestFit:
@@ -459,6 +472,85 @@ class TestFit:
         point_dists = estimate_all(dataset, config.knn)
         assert model.final_objective == trace[-1]
         assert model.final_objective == objective(point_dists, part, model.subset_dists)
+
+
+def duplicate_rows_dataset(seed):
+    """60 rows in four far-apart blobs of three labels: with k = 3 most kNN
+    label distributions repeat."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0], [50.0, 50.0]])
+    features = centers[np.arange(60) % 4] + rng.normal(size=(60, 2))
+    return LabeledDataset(features, rng.integers(0, 3, size=60), ("a", "b", "c"))
+
+
+def reference_fit(dataset, config):
+    """The fit loop one row at a time: the KL matrix of all N rows, the
+    oracle argmin as the proposal and the oracle repair. Returns the final
+    assignment, the trace, whether it converged and the points repaired."""
+    point_dists = estimate_all(dataset, config.knn)
+    assignment = init_partition(dataset, config, point_dists).assignment
+    rows = np.arange(dataset.n)
+    trace, repaired_points = [], 0
+    for _ in range(config.max_iters):
+        subset_dists = update_subset_distributions(
+            Partition(assignment, config.M), dataset.labels, dataset.num_classes,
+            config.update_mode, point_dists, config.smoothing,
+        )
+        kls = kl_matrix(point_dists, subset_dists)
+        proposed = np.array(oracle_assign(point_dists.tolist(), subset_dists.tolist()))
+        repaired = oracle_repair(proposed, config.M, kls[rows, proposed])
+        repaired_points += int(np.count_nonzero(repaired != proposed))
+        trace.append(float(kls[rows, repaired].sum()))
+        assert trace[-1] == pytest.approx(
+            oracle_objective(point_dists.tolist(), repaired.tolist(), subset_dists.tolist()),
+            rel=1e-12, abs=1e-12,
+        )
+        if np.array_equal(proposed, assignment):
+            return assignment, trace, True, repaired_points
+        assignment = repaired
+    return assignment, trace, False, repaired_points
+
+
+class TestFitOnDistinctRows:
+    @pytest.mark.parametrize("update_mode", ["paper", "centroid"])
+    @pytest.mark.parametrize("M, init, seed", [(12, "random", 0), (16, "random", 1), (5, "kmeans", 2)])
+    def test_equals_per_row_reference_loop(self, update_mode, M, init, seed):
+        dataset = duplicate_rows_dataset(seed)
+        config = QuantizerConfig(
+            M=M, knn=KnnConfig(k=3), smoothing=E6, max_iters=25, seed=seed,
+            init=init, update_mode=update_mode,
+        )
+        distinct = np.unique(estimate_all(dataset, config.knn), axis=0).shape[0]
+        assert distinct <= dataset.n // 4
+        assignment, trace, converged, repaired_points = reference_fit(dataset, config)
+        assert repaired_points > 0
+        model, part, got_trace = fit(dataset, config)
+        np.testing.assert_array_equal(part.assignment, assignment)
+        assert got_trace == trace
+        assert (model.iterations_run, model.converged) == (len(trace), converged)
+
+    def test_kl_work_is_one_row_per_distinct_distribution(self, monkeypatch):
+        dataset = duplicate_rows_dataset(3)
+        config = QuantizerConfig(M=8, knn=KnnConfig(k=3), smoothing=E6, max_iters=10, seed=3)
+        rows = []
+        real_kl_matrix = quantizer.kl_matrix
+
+        def counted(point_dists, subset_dists):
+            rows.append(np.shape(point_dists)[0])
+            return real_kl_matrix(point_dists, subset_dists)
+
+        monkeypatch.setattr(quantizer, "kl_matrix", counted)
+        model, _, trace = fit(dataset, config)
+        distinct = np.unique(estimate_all(dataset, config.knn), axis=0).shape[0]
+        assert distinct < dataset.n
+        assert rows == [distinct] * len(trace)
+
+        rows.clear()
+        queries = np.vstack([dataset.features, dataset.features + 0.25])
+        codes = model.codes(queries)
+        query_dists = label_distributions(dataset, queries, config.knn)
+        assert rows == [np.unique(query_dists, axis=0).shape[0]]
+        assert codes.tolist() == oracle_assign(query_dists.tolist(), model.subset_dists.tolist())
 
 
 class TestQuantize:
