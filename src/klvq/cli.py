@@ -42,25 +42,25 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         update_mode=args.mode,
     )
     model, _, trace = fit(dataset, config)
+    fileio.save_model(model, args.output)
     print(f"iterations: {model.iterations_run}")
     print(f"converged: {str(model.converged).lower()}")
     print(f"final_objective: {_fmt(model.final_objective)}")
     print("iteration,objective")
     for step, value in enumerate(trace, start=1):
         print(f"{step},{_fmt(value)}")
-    fileio.save_model(model, args.output)
     return 0
 
 
 def _cmd_kmeans_fit(args: argparse.Namespace) -> int:
     dataset = fileio.load_dataset(args.input)
     model, _ = kmeans_fit(dataset.features, args.clusters, args.seed, args.max_iters)
+    fileio.save_model(model, args.output)
     print(f"iterations: {model.iterations_run}")
     print(f"inertia: {_fmt(model.inertia)}")
     print("iteration,inertia")
     for step, value in enumerate(model.inertia_trace, start=1):
         print(f"{step},{_fmt(value)}")
-    fileio.save_model(model, args.output)
     return 0
 
 
@@ -96,18 +96,15 @@ def _cmd_eval_bof(args: argparse.Namespace) -> int:
     train_bags, class_names = fileio.load_bags(args.train_dir)
     test_bags, class_names = fileio.load_bags(args.test_dir, class_names)
     report = bof.evaluate(train_bags, test_bags, model.kind, model.codes, model.M, args.distance)
-    names = list(class_names) + [
-        f"class_{c}" for c in range(len(class_names), report.confusion.shape[0])
-    ]
     print(f"quantizer: {report.quantizer_tag}")
     print(f"overall_accuracy: {_fmt(report.overall_accuracy)}")
-    width = max(len(name) for name in names) + 2
+    width = max(len(name) for name in class_names) + 2
     print(f"{'class'.ljust(width)}accuracy")
-    for name, acc in zip(names, report.per_class_accuracy):
+    for name, acc in zip(class_names, report.per_class_accuracy):
         print(f"{name.ljust(width)}{_fmt(acc)}")
     print("confusion matrix CSV (rows = true class, columns = predicted):")
-    print("class," + ",".join(names))
-    for name, row in zip(names, report.confusion):
+    print("class," + ",".join(class_names))
+    for name, row in zip(class_names, report.confusion):
         print(name + "," + ",".join(str(int(v)) for v in row))
     return 0
 

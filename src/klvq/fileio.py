@@ -1,9 +1,11 @@
 """File formats: CSV datasets and descriptor bags, JSON model persistence.
 
 Dataset CSV: header ``f1,...,fd,label``, one vector per row, label as a class
-name string; class indices follow first appearance order. Bags are stored as
-one descriptor CSV per item (header ``f1,...,fd``) plus a ``manifest.csv``
-with columns ``item_id,path,label``. Models are JSON documents carrying a
+name string. Bags are stored as one descriptor CSV per item (header
+``f1,...,fd``) plus a ``manifest.csv`` with columns ``item_id,path,label``.
+Every feature table is read by ``_read_table`` and every CSV is written by
+``_write_csv``; class indices follow first appearance order in datasets and
+manifests alike. Models are JSON documents carrying a
 ``format_version`` and a ``kind`` of ``klvq`` or ``kmeans``; all reals are
 serialized at full round-trip precision.
 """
@@ -11,10 +13,11 @@ serialized at full round-trip precision.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .label_model import KnnConfig, LabeledDataset, require_int
 from .quantizer import QuantizerConfig, QuantizerModel
 
 FORMAT_VERSION = 1
+_MANIFEST_HEADER = ["item_id", "path", "label"]
 
 Model = Union[QuantizerModel, KmeansModel]
 
@@ -44,95 +48,88 @@ def _read_csv(path: Path) -> list[list[str]]:
     return rows
 
 
-def _parse_features(path: Path, rows: list[list[str]], dim: int) -> np.ndarray:
-    features = np.empty((len(rows) - 1, dim), dtype=np.float64)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise DatasetFormatError(
-                f"{path}: line {lineno} has {len(row)} cells, expected {len(rows[0])}"
-            )
-        for j in range(dim):
-            try:
-                value = float(row[j])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}, column {j + 1}: {row[j]!r} is not a real number"
-                ) from None
-            if not math.isfinite(value):
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}, column {j + 1}: non-finite value {row[j]!r}"
-                )
-            features[lineno - 2, j] = value
-    return features
-
-
-def _check_feature_header(path: Path, header: list[str], expect_label: bool) -> int:
-    """Validate ``f1..fd[,label]`` and return d."""
-    columns = header[:-1] if expect_label else header
-    if expect_label and (len(header) < 2 or header[-1] != "label"):
+def _read_table(path: Path, label: Optional[bool], rows_name: str = "data") -> tuple[np.ndarray, list[str]]:
+    """Read a ``f1,...,fd[,label]`` CSV into its (N, d) float matrix and its N
+    label cells (empty without a label column). label=None makes the label
+    column optional; errors name the first bad line in file order."""
+    rows = _read_csv(path)
+    header = rows[0]
+    if label is None:
+        label = bool(header) and header[-1] == "label"
+    columns = header[:-1] if label else header
+    if label and (len(header) < 2 or header[-1] != "label"):
         raise DatasetFormatError(f'{path}: line 1: header must end with a "label" column')
     if not columns or columns != _feature_header(len(columns)):
-        raise DatasetFormatError(
-            f'{path}: line 1: header must be "f1,...,fd{",label" if expect_label else ""}"'
-        )
-    return len(columns)
+        raise DatasetFormatError(f'{path}: line 1: header must be "f1,...,fd{",label" if label else ""}"')
+    if len(rows) < 2:
+        raise DatasetFormatError(f"{path}: no {rows_name} rows")
+    features = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DatasetFormatError(f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}")
+        values = []
+        for column, cell in enumerate(row[: len(columns)], start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}, column {column}: {cell!r} is not a real number"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetFormatError(f"{path}: line {lineno}, column {column}: non-finite value {cell!r}")
+            values.append(value)
+        features[lineno - 2] = values
+    return features, [row[-1] for row in rows[1:]] if label else []
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write header and rows; a float cell is written as its repr, which
+    reads back to the same float."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _class_indices(cells: Iterable[str], known: Sequence[str] = ()) -> tuple[list[int], tuple[str, ...]]:
+    """The class index of each name cell, and the class names: known first
+    (a repeated name once), then each new name in order of first appearance."""
+    index = {name: i for i, name in enumerate(dict.fromkeys(known))}
+    return [index.setdefault(cell, len(index)) for cell in cells], tuple(index)
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a labeled dataset CSV; class names take first-appearance order."""
-    path = Path(path)
-    rows = _read_csv(path)
-    dim = _check_feature_header(path, rows[0], expect_label=True)
-    if len(rows) < 2:
-        raise DatasetFormatError(f"{path}: no data rows")
-    features = _parse_features(path, rows, dim)
-    names: list[str] = []
-    labels = np.empty(len(rows) - 1, dtype=np.int64)
-    for lineno, row in enumerate(rows[1:], start=2):
-        name = row[-1]
-        if name not in names:
-            names.append(name)
-        labels[lineno - 2] = names.index(name)
-    return LabeledDataset(features=features, labels=labels, class_names=tuple(names))
+    features, cells = _read_table(Path(path), label=True)
+    labels, names = _class_indices(cells)
+    return LabeledDataset(features=features, labels=np.array(labels, dtype=np.int64), class_names=names)
 
 
 def save_dataset(path: str | Path, dataset: LabeledDataset) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_feature_header(dataset.dim) + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [dataset.class_names[label]])
+    # One row at a time: a whole-matrix tolist() would hold every cell as a
+    # Python float at once, which raised peak memory and slowed later commands.
+    names = dataset.class_names
+    rows = (row.tolist() + [names[label]] for row, label in zip(dataset.features, dataset.labels))
+    _write_csv(Path(path), _feature_header(dataset.dim) + ["label"], rows)
 
 
 def load_feature_matrix(path: str | Path) -> np.ndarray:
     """Read feature vectors from a CSV whose label column is optional."""
-    path = Path(path)
-    rows = _read_csv(path)
-    has_label = rows[0] and rows[0][-1] == "label"
-    dim = _check_feature_header(path, rows[0], expect_label=has_label)
-    if len(rows) < 2:
-        raise DatasetFormatError(f"{path}: no data rows")
-    return _parse_features(path, rows, dim)
+    return _read_table(Path(path), label=None)[0]
 
 
 def save_bags(bags: Sequence[FeatureBag], directory: str | Path, class_names: Sequence[str]) -> None:
     """Write one descriptor CSV per bag plus the manifest.csv index."""
+    for bag in bags:
+        if bag.label is None:
+            raise ParameterError(f"item {bag.item_id!r} has no label to store")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "manifest.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["item_id", "path", "label"])
-        for bag in bags:
-            if bag.label is None:
-                raise ParameterError(f"item {bag.item_id!r} has no label to store")
-            writer.writerow([bag.item_id, f"{bag.item_id}.csv", class_names[bag.label]])
+    manifest = ([bag.item_id, f"{bag.item_id}.csv", class_names[bag.label]] for bag in bags)
+    _write_csv(directory / "manifest.csv", _MANIFEST_HEADER, manifest)
     for bag in bags:
-        with open(directory / f"{bag.item_id}.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_feature_header(bag.descriptors.shape[1]))
-            for row in bag.descriptors:
-                writer.writerow([repr(float(v)) for v in row])
+        header = _feature_header(bag.descriptors.shape[1])
+        _write_csv(directory / f"{bag.item_id}.csv", header, bag.descriptors.tolist())
 
 
 def load_bags(
@@ -143,24 +140,19 @@ def load_bags(
     directory = Path(directory)
     manifest = directory / "manifest.csv"
     rows = _read_csv(manifest)
-    if rows[0] != ["item_id", "path", "label"]:
-        raise DatasetFormatError(f'{manifest}: line 1: header must be "item_id,path,label"')
-    names = list(class_names) if class_names is not None else []
-    bags: list[FeatureBag] = []
+    if rows[0] != _MANIFEST_HEADER:
+        raise DatasetFormatError(f'{manifest}: line 1: header must be "{",".join(_MANIFEST_HEADER)}"')
+    descriptors = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise DatasetFormatError(f"{manifest}: line {lineno} has {len(row)} cells, expected 3")
-        item_id, rel_path, name = row
-        if name not in names:
-            names.append(name)
-        item_path = directory / rel_path
-        item_rows = _read_csv(item_path)
-        dim = _check_feature_header(item_path, item_rows[0], expect_label=False)
-        if len(item_rows) < 2:
-            raise DatasetFormatError(f"{item_path}: no descriptor rows")
-        descriptors = _parse_features(item_path, item_rows, dim)
-        bags.append(FeatureBag(item_id=item_id, descriptors=descriptors, label=names.index(name)))
-    return bags, tuple(names)
+        descriptors.append(_read_table(directory / row[1], label=False, rows_name="descriptor")[0])
+    labels, names = _class_indices((row[2] for row in rows[1:]), () if class_names is None else class_names)
+    bags = [
+        FeatureBag(item_id=row[0], descriptors=matrix, label=label)
+        for row, matrix, label in zip(rows[1:], descriptors, labels)
+    ]
+    return bags, names
 
 
 def save_model(model: Model, path: str | Path) -> None:
@@ -168,15 +160,7 @@ def save_model(model: Model, path: str | Path) -> None:
     if isinstance(model, QuantizerModel):
         config = model.config
         fields = {
-            "config": {
-                "M": config.M,
-                "knn": {"k": config.knn.k, "include_self": config.knn.include_self},
-                "smoothing": {"epsilon": config.smoothing.epsilon},
-                "max_iters": config.max_iters,
-                "seed": config.seed,
-                "init": config.init,
-                "update_mode": config.update_mode,
-            },
+            "config": dataclasses.asdict(model.config),
             "class_names": list(model.training_set.class_names),
             "subset_dists": model.subset_dists.tolist(),
             "training_features": model.training_set.features.tolist(),

@@ -36,10 +36,15 @@ class KmeansModel:
             raise ParameterError(f"centroids must be ({self.K}, d), got {centroids.shape}")
         if require_real(self.inertia, "inertia") < 0:
             raise ParameterError(f"inertia must be >= 0, got {self.inertia}")
-        require_int(self.iterations_run, "iterations_run")
+        if require_int(self.iterations_run, "iterations_run") < 1:
+            raise ParameterError(f"iterations_run must be >= 1, got {self.iterations_run}")
         trace = tuple(require_real(v, "inertia_trace entries") for v in self.inertia_trace)
         if trace and trace[-1] != self.inertia:
             raise ParameterError(f"inertia {self.inertia} is not the last inertia_trace entry {trace[-1]}")
+        if trace and len(trace) != self.iterations_run:
+            raise ParameterError(
+                f"iterations_run {self.iterations_run} disagrees with the {len(trace)} inertia_trace entries"
+            )
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "inertia_trace", trace)
 

@@ -88,7 +88,9 @@ class QuantizerModel:
             raise ParameterError(f"k={self.config.knn.k} exceeds the {n} training rows")
         if require_real(self.final_objective, "final_objective") < -1e-9:
             raise ParameterError(f"final_objective must be >= -1e-9, got {self.final_objective}")
-        require_int(self.iterations_run, "iterations_run")
+        max_iters = self.config.max_iters
+        if not 1 <= require_int(self.iterations_run, "iterations_run") <= max_iters:
+            raise ParameterError(f"iterations_run must lie in [1, max_iters={max_iters}], got {self.iterations_run}")
         if not isinstance(self.converged, (bool, np.bool_)):
             raise ParameterError(f"converged must be true or false, got {self.converged!r}")
         object.__setattr__(self, "subset_dists", dists)

@@ -333,6 +333,12 @@ GOLDEN_MODEL_SHA256 = {
     "kmeans.json": "f48b10d29356091c96fb9bfea816874c81ee3691741cb6a91ad020a79b75656c",
 }
 
+GOLDEN_SYNTH_SHA256 = {
+    "descriptors.csv": "04dc98f60eb7b3dda87baf0488ae73aff06474aa2689626091687ffafd2932c0",
+    "train/manifest.csv": "ba271fe6b49ba70dd8c6b07ac5684e6ed37d5add427f5aa96122189a4dd35946",
+    "train/train-c1-i001.csv": "89b867eca48fab7b12a22f199e64c71dedfdfd1e3692abae66a157a8ca867151",
+}
+
 
 class TestGoldenOutput:
     """Exact stdout of seeded runs. A change to any printed value or trace
@@ -379,6 +385,8 @@ class TestGoldenOutput:
         assert paper == (0, GOLDEN_PAPER_FIT)
         assert centroid == (0, GOLDEN_CENTROID_FIT)
         assert kmeans == (0, GOLDEN_KMEANS_FIT)
+        for name, digest in GOLDEN_SYNTH_SHA256.items():
+            assert hashlib.sha256((bench / name).read_bytes()).hexdigest() == digest, name
 
     def test_eval_info_and_model_files_are_pinned(self, tmp_path, capsys):
         self.synth_and_fit(tmp_path, capsys)
@@ -447,6 +455,15 @@ class TestExitCodes:
         )
         assert code == 1
         assert "not found" in err
+
+    @pytest.mark.parametrize("command", [["fit", "--subsets", 2], ["kmeans-fit", "--clusters", 2]])
+    def test_failed_model_write_prints_nothing(self, dataset_csv, tmp_path, capsys, command):
+        code, out, err = run(
+            capsys, command[0], "--input", dataset_csv, *command[1:],
+            "--output", tmp_path / "missing" / "m.json",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("io error: ")
 
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0

@@ -5,9 +5,11 @@ import pytest
 
 from klvq import (
     DatasetFormatError,
+    FeatureBag,
     KnnConfig,
     LabeledDataset,
     ModelFormatError,
+    ParameterError,
     QuantizerConfig,
     SmoothingConfig,
     fit,
@@ -95,6 +97,42 @@ class TestLoadFeatureMatrix:
         without = write(tmp_path / "b.csv", "f1,f2\n1,2\n")
         np.testing.assert_array_equal(load_feature_matrix(with_label), [[1.0, 2.0]])
         np.testing.assert_array_equal(load_feature_matrix(without), [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("header", ["f1,f2,label", "f1,f2"])
+    def test_header_only_file(self, tmp_path, header):
+        path = write(tmp_path / "a.csv", header + "\n")
+        with pytest.raises(DatasetFormatError, match="no data rows"):
+            load_feature_matrix(path)
+
+
+def load_bag_file(path):
+    """Load path as the one descriptor file of a bag directory."""
+    write(path.parent / "manifest.csv", f"item_id,path,label\nitem,{path.name},a\n")
+    return load_bags(path.parent)
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        pytest.param([["1", "2"], ["1", "x"], ["3", "4"], ["5"]], "line 3, column 2: 'x' is not", id="cell-first"),
+        pytest.param([["1", "2"], ["5"], ["3", "4"], ["1", "x"]], "line 3 has", id="short-row-first"),
+    ],
+)
+@pytest.mark.parametrize(
+    "load, label",
+    [(load_dataset, True), (load_feature_matrix, True), (load_feature_matrix, False), (load_bag_file, False)],
+)
+def test_first_bad_line_in_file_order_is_reported(tmp_path, rows, want, load, label):
+    """A bad cell on line 3 and a short row on line 5 report line 3, and so
+    does the same pair in the other order."""
+    lines = [["f1", "f2"]] + rows
+    if label:
+        lines = [line + ["label" if i == 0 else "a"] for i, line in enumerate(lines)]
+    path = write(tmp_path / "item.csv", "".join(",".join(line) + "\n" for line in lines))
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load(path)
+    assert want in str(excinfo.value)
+    assert "line 5" not in str(excinfo.value)
 
 
 class TestModelRoundTrip:
@@ -227,6 +265,13 @@ class TestBagStorage:
         assert names == ("other", "class_0", "class_1")
         assert [bag.label for bag in loaded] == [1, 2]
 
+    def test_repeated_known_class_name_counts_once(self, tmp_path):
+        train_bags, _, dataset = generate_synthetic(2, 2, 1, 3, 2, 0.5)
+        save_bags(train_bags, tmp_path / "bags", dataset.class_names)
+        loaded, names = load_bags(tmp_path / "bags", ("class_1", "class_1"))
+        assert names == ("class_1", "class_0")
+        assert [bag.label for bag in loaded] == [1, 0]
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="not found"):
             load_bags(tmp_path / "nowhere")
@@ -237,3 +282,17 @@ class TestBagStorage:
         (directory / "manifest.csv").write_text("a,b,c\n")
         with pytest.raises(DatasetFormatError, match="line 1"):
             load_bags(directory)
+
+    def test_manifest_row_with_two_cells(self, tmp_path):
+        path = write(tmp_path / "manifest.csv", "item_id,path,label\nitem,item.csv\n")
+        with pytest.raises(DatasetFormatError, match="line 2 has 2 cells, expected 3"):
+            load_bags(tmp_path)
+
+    def test_header_only_bag_file(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="no descriptor rows"):
+            load_bag_file(write(tmp_path / "item.csv", "f1,f2\n"))
+
+    def test_unlabeled_bag_is_not_saved(self, tmp_path):
+        bag = FeatureBag(item_id="item", descriptors=np.zeros((2, 2)))
+        with pytest.raises(ParameterError, match="'item' has no label to store"):
+            save_bags([bag], tmp_path / "bags", ("a",))

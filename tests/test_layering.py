@@ -1,7 +1,8 @@
 """Import layering of the klvq package, read from its sources with ast.
 
 The modules form an acyclic import graph, every import sits at module
-level, and no import is hidden behind ``TYPE_CHECKING``.
+level, no import is hidden behind ``TYPE_CHECKING``, and only ``fileio``
+imports ``csv`` or ``json``, so the file formats stay behind one module.
 """
 
 import ast
@@ -75,3 +76,15 @@ def test_no_type_checking_only_package_import(name):
                 assert not imported_modules(inner), (
                     f"{name}.py:{inner.lineno} imports a package module under TYPE_CHECKING"
                 )
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_only_fileio_reads_file_formats(name):
+    for node in ast.walk(MODULES[name]):
+        if isinstance(node, ast.Import):
+            found = {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found = {node.module.split(".")[0]}
+        else:
+            continue
+        assert name == "fileio" or not found & {"csv", "json"}, f"{name}.py:{node.lineno} imports {found}"

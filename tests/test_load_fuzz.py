@@ -166,9 +166,26 @@ DISAGREEING_COPIES = [
     ]
 ]
 
+# The klvq fixture is fitted with the default max_iters of 100.
+IMPOSSIBLE_ITERATIONS = [
+    pytest.param(kind, ("iterations_run",), value, id=f"{kind}-iterations_run-{name}")
+    for kind, name, value in [
+        ("klvq", "negative", -5),
+        ("klvq", "zero", 0),
+        ("klvq", "beyond-max_iters", 101),
+        ("klvq", "far-beyond-max_iters", 500),
+        ("kmeans", "negative", -1),
+        ("kmeans", "zero", 0),
+        ("kmeans", "one-more-than-trace", lambda run: run + 1),
+        ("kmeans", "one-less-than-trace", lambda run: run - 1),
+        ("kmeans", "99", 99),
+    ]
+]
+
 
 @pytest.mark.parametrize(
-    "kind, field, value", NON_FINITE + WRONG_TYPES + WRONG_SHAPES + WRONG_ENTRIES + DISAGREEING_COPIES
+    "kind, field, value",
+    NON_FINITE + WRONG_TYPES + WRONG_SHAPES + WRONG_ENTRIES + DISAGREEING_COPIES + IMPOSSIBLE_ITERATIONS,
 )
 def test_mutated_model_is_rejected(files, tmp_path, capsys, kind, field, value):
     path = tmp_path / "model.json"
