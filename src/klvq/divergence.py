@@ -53,11 +53,20 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
         raise ParameterError(f"distribution length mismatch: {p.shape} vs {q.shape}")
     return float(_kl_terms(p, q).sum())
 
+
 def kl_matrix(point_dists: np.ndarray, subset_dists: np.ndarray) -> np.ndarray:
     """KL of every point distribution against every subset distribution.
 
     point_dists: (N, C) rows; subset_dists: (M, C) rows. Returns an (N, M)
     array whose [i, m] entry equals kl_divergence(point_dists[i], subset_dists[m]).
+
+    The term p*ln(p/q) depends only on the value p, its class c and the
+    subset m, so it is evaluated once per distinct (value, class) pair and
+    subset, in an (M, K) table. A kNN distribution is a count vector divided
+    by k, so K is at most (k+1)*C however many rows there are. Each row's C
+    terms are gathered from the table into a contiguous (M, N, C) array and
+    summed over its last axis: the same terms added in the same order as a
+    sum over the (N, M, C) broadcast, so every entry is bit-identical to it.
     """
     P = np.asarray(point_dists, dtype=np.float64)
     Q = np.asarray(subset_dists, dtype=np.float64)
@@ -65,7 +74,11 @@ def kl_matrix(point_dists: np.ndarray, subset_dists: np.ndarray) -> np.ndarray:
         raise ParameterError(
             f"expected (N, C) and (M, C) distribution arrays, got {P.shape} and {Q.shape}"
         )
-    return _kl_terms(P[:, None, :], Q[None, :, :]).sum(axis=2)
+    C = P.shape[1]
+    values, value_index = np.unique(P, return_inverse=True)
+    pairs, pair_index = np.unique(value_index.reshape(P.shape) * C + np.arange(C), return_inverse=True)
+    table = _kl_terms(values[pairs // C], Q[:, pairs % C])
+    return np.take(table, pair_index.reshape(P.shape), axis=1).sum(axis=2).T
 
 
 def smooth(raw_counts: np.ndarray, config: SmoothingConfig) -> np.ndarray:
@@ -80,8 +93,8 @@ def smooth(raw_counts: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     counts = np.asarray(raw_counts, dtype=np.float64)
     if counts.ndim not in (1, 2):
         raise ParameterError(f"counts must be a vector or an (M, C) matrix, got shape {counts.shape}")
-    if np.any(counts < 0):
-        raise ParameterError("counts must be nonnegative")
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ParameterError("counts must be finite and nonnegative")
     denom = counts.sum(axis=-1, keepdims=True) + config.epsilon * counts.shape[-1]
     if np.any(denom <= 0.0):
         raise DomainError("empty subset with no smoothing")
@@ -100,7 +113,12 @@ def objective(
     """
     P = np.asarray(point_dists, dtype=np.float64)
     Q = np.asarray(subset_dists, dtype=np.float64)
-    assignment = np.asarray(partition.assignment)
+    assignment = partition.assignment
+    if P.ndim != 2 or Q.shape != (partition.M, P.shape[1]):
+        raise ParameterError(
+            f"expected (N, C) point distributions and ({partition.M}, C) subset distributions, "
+            f"got {P.shape} and {Q.shape}"
+        )
     if P.shape[0] != assignment.shape[0]:
         raise ParameterError(
             f"{P.shape[0]} point distributions for {assignment.shape[0]} assigned points"

@@ -176,7 +176,7 @@ def assign_step(point_dists: np.ndarray, subset_dists: np.ndarray) -> Partition:
     previous assignment.
     """
     kls = kl_matrix(point_dists, subset_dists)
-    return Partition(np.argmin(kls, axis=1), subset_dists.shape[0])
+    return Partition(np.argmin(kls, axis=1), kls.shape[1])
 
 
 def _repair_empty_subsets(

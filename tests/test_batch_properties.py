@@ -7,7 +7,10 @@ block size is also drawn, so that batches cross block boundaries.
 The fit loop's premises are pinned the same way: its own-subset KL terms,
 distinct-row KL lookups, subset distributions, smoothing and one-sort
 empty-subset repair equal, bit for bit, the per-point, per-subset and
-per-empty-subset formulas they replace.
+per-empty-subset formulas they replace. kl_matrix, which evaluates each KL
+term once per distinct (value, class) pair and subset, equals the sum over
+the full (N, M, C) broadcast of terms bit for bit, and raises exactly when
+that sum does.
 """
 
 import contextlib
@@ -34,7 +37,7 @@ from klvq import (
     smooth,
     update_subset_distributions,
 )
-from klvq import kmeans, label_model, quantizer
+from klvq import divergence, kmeans, label_model, quantizer
 from klvq.divergence import _kl_terms
 
 from oracles import oracle_assign, oracle_knn, oracle_nearest, oracle_repair
@@ -186,6 +189,61 @@ def test_kl_matrix_rows_do_not_depend_on_the_other_rows(num_classes, data):
     distinct, inverse = quantizer._distinct_rows(P)
     np.testing.assert_array_equal(distinct[inverse], P)
     np.testing.assert_array_equal(kl_matrix(distinct, Q)[inverse], kl_matrix(P, Q))
+
+
+@st.composite
+def kl_matrix_cases(draw, num_classes, reference_zeros=True):
+    """Point rows that are kNN distributions (counts / k, many shared values
+    and zeros) or continuous rows (mostly distinct values, some zeros), and
+    M subset rows of which, with reference_zeros, a few cells may be zero."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 12))
+        neighbor_labels = draw(arrays(np.int64, (n, k), elements=st.integers(0, num_classes - 1)))
+        counts = (neighbor_labels[:, :, None] == np.arange(num_classes)).sum(axis=1)
+        P = counts / float(k)
+    else:
+        P = draw(distributions(n, num_classes))
+    Q = draw(distributions(draw(st.integers(1, 70)), num_classes, positive=True))
+    cells = st.tuples(st.integers(0, Q.shape[0] - 1), st.integers(0, num_classes - 1))
+    for m, c in draw(st.lists(cells, max_size=3 if reference_zeros else 0)):
+        Q[m, c] = 0.0
+    Q[Q.sum(axis=1) == 0.0, 0] = 1.0
+    return P, Q / Q.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("num_classes", range(1, 21))
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_kl_matrix_equals_the_broadcast_sum_bit_for_bit(num_classes, data):
+    P, Q = data.draw(kl_matrix_cases(num_classes))
+    try:
+        want = _kl_terms(P[:, None, :], Q[None, :, :]).sum(axis=2)
+    except DomainError:
+        with pytest.raises(DomainError, match="unsmoothed zero in reference distribution"):
+            kl_matrix(P, Q)
+        return
+    got = kl_matrix(P, Q)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("num_classes", [1, 3, 16, 20])
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_kl_matrix_evaluates_one_term_per_distinct_pair_and_subset(num_classes, data):
+    P, Q = data.draw(kl_matrix_cases(num_classes, reference_zeros=False))
+    pairs = {(float(value), c) for row in P for c, value in enumerate(row)}
+    asked = []
+
+    def counting_terms(p, q):
+        asked.append(np.broadcast(p, q).size)
+        return _kl_terms(p, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(divergence, "_kl_terms", counting_terms)
+        kl_matrix(P, Q)
+    assert 0 < sum(asked) <= Q.shape[0] * len(pairs)
 
 
 @st.composite

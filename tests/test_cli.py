@@ -327,6 +327,24 @@ iteration,objective
 
 GOLDEN_REPAIR_SHA256 = "49f3e353a87db531714624d61289f2b0d5f9b139802e4ea0c68c5816cff0f735"
 
+GOLDEN_WIDE_FIT = """\
+iterations: 6
+converged: false
+final_objective: 469.61170170862903
+iteration,objective
+1,526.19893156153364
+2,599.31415175515747
+3,545.63753239026028
+4,488.4155145488553
+5,452.34745699301288
+6,469.61170170862903
+"""
+
+GOLDEN_WIDE_SHA256 = {
+    "wide.json": "a3c23e3f8012974ee36ee368bf29cd8e07eaf2d4711d97e9449a329f8539d614",
+    "quantize stdout": "0aefe5da2d87fe0c626bf5bf508f3fd0c835209ac5c1ed81b422761171905010",
+}
+
 GOLDEN_MODEL_SHA256 = {
     "paper.json": "08b32a587873f286750fa3fa7fbb3af08c78c0f0ea5e58a5a2c107e8849c1755",
     "centroid.json": "3afb3fa9694616c0f7061d27f29e02379646de7080045550cef9c9ea7d948abe",
@@ -415,6 +433,30 @@ class TestGoldenOutput:
         )
         assert got == (0, GOLDEN_REPAIR_FIT, "")
         assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_REPAIR_SHA256
+
+    def test_many_class_paper_fit_and_quantize_are_pinned(self, tmp_path, capsys):
+        # 16 classes, 32 subsets and k = 8: each class column of the kNN
+        # distributions takes up to 9 values, so kl_matrix sees many rows
+        # that share (value, class) pairs. The quantize run reads all 192
+        # training rows and prints 9 distinct codes.
+        code, _, _ = run(
+            capsys, "synth", "--seed", 5, "--classes", 16, "--items-per-class", 3,
+            "--descriptors", 4, "--dim", 8, "--noise", 0.5, "--out-dir", tmp_path / "bench",
+        )
+        assert code == 0
+        data, model = tmp_path / "bench" / "descriptors.csv", tmp_path / "wide.json"
+        got = run(
+            capsys, "fit", "--input", data, "--subsets", 32, "--knn", 8, "--seed", 0,
+            "--max-iters", 6, "--output", model,
+        )
+        assert got == (0, GOLDEN_WIDE_FIT, "")
+        code, out, err = run(capsys, "quantize", "--model", model, "--input", data)
+        assert (code, err, len(out.splitlines())) == (0, "", 192)
+        digests = {
+            "wide.json": hashlib.sha256(model.read_bytes()).hexdigest(),
+            "quantize stdout": hashlib.sha256(out.encode()).hexdigest(),
+        }
+        assert digests == GOLDEN_WIDE_SHA256
 
 
 class TestInfoCommand:

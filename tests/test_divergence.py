@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ class TestSmooth:
         with pytest.raises(ParameterError, match="shape"):
             smooth(np.ones((2, 2, 2)), SmoothingConfig(1e-6))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_raise(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="counts must be finite and nonnegative"):
+                smooth(np.array([bad, 1.0]), SmoothingConfig(1e-6))
+            with pytest.raises(ParameterError, match="counts must be finite and nonnegative"):
+                smooth(np.array([[2.0, 1.0], [1.0, bad]]), SmoothingConfig(0.0))
+
     def test_negative_epsilon_raises(self):
         with pytest.raises(ParameterError):
             SmoothingConfig(-1e-9)
@@ -172,3 +182,12 @@ class TestObjective:
     def test_length_mismatch_raises(self):
         with pytest.raises(ParameterError):
             objective(np.ones((3, 2)) / 2, Partition(np.array([0, 0]), 1), np.ones((1, 2)) / 2)
+
+    def test_subset_count_mismatch_raises(self):
+        P = np.ones((3, 2)) / 2
+        with pytest.raises(ParameterError, match=r"\(3, C\) subset distributions"):
+            objective(P, Partition(np.array([0, 1, 2]), 3), np.ones((2, 2)) / 2)
+
+    def test_class_count_mismatch_raises(self):
+        with pytest.raises(ParameterError, match=r"got \(3, 2\) and \(2, 3\)"):
+            objective(np.ones((3, 2)) / 2, Partition(np.array([0, 1, 0]), 2), np.ones((2, 3)) / 3)

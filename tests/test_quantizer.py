@@ -247,6 +247,14 @@ class TestAssignStep:
             got = assign_step(P, Q)
             assert got.assignment.tolist() == oracle_assign(P.tolist(), Q.tolist())
 
+    def test_accepts_nested_lists(self):
+        rng = np.random.default_rng(23)
+        P = random_positive_dists(rng, 12, 3)
+        Q = random_positive_dists(rng, 4, 3)
+        got = assign_step(P.tolist(), Q.tolist())
+        assert got.M == 4
+        np.testing.assert_array_equal(got.assignment, assign_step(P, Q).assignment)
+
     def test_independent_of_previous_assignment(self):
         rng = np.random.default_rng(21)
         P = random_positive_dists(rng, 30, 2)
