@@ -165,7 +165,8 @@ def evaluate(
 ) -> EvalReport:
     """Histogram every bag, 1-NN classify the test bags, tally the confusion.
 
-    codes_fn is called once, on the descriptors of all bags stacked. The
+    codes_fn is called once, on the descriptors of all bags stacked, so
+    every bag must have the first bag's descriptor dimension. The
     histograms equal build_histogram's, and each test bag gets the label
     classify_1nn gives it.
     """
@@ -174,9 +175,15 @@ def evaluate(
     if not train_bags or not test_bags:
         raise ParameterError("train and test bag sets must both be nonempty")
     bags = (*train_bags, *test_bags)
+    dim = bags[0].descriptors.shape[1]
     for bag in bags:
         if bag.label is None:
             raise ParameterError(f"item {bag.item_id!r} has no label")
+        if bag.descriptors.shape[1] != dim:
+            raise ParameterError(
+                f"item {bag.item_id!r} has descriptor dimension {bag.descriptors.shape[1]}, "
+                f"the first item {bags[0].item_id!r} has {dim}"
+            )
     num_classes = max(bag.label for bag in bags) + 1
     sizes = np.array([bag.size for bag in bags])
     codes = _checked_codes(codes_fn, np.vstack([bag.descriptors for bag in bags]), M)
@@ -231,18 +238,17 @@ def generate_synthetic(
     descriptors_per_item: int,
     dim: int,
     noise: float,
-    mode_separation: float = DEFAULT_MODE_SEPARATION,
     background_rate: float = DEFAULT_BACKGROUND_RATE,
-    background_spread_factor: float = DEFAULT_BACKGROUND_SPREAD_FACTOR,
 ) -> tuple[list[FeatureBag], list[FeatureBag], LabeledDataset]:
     """Seeded benchmark data: train and test bags plus the pooled training
     descriptors labeled by their item's class.
 
     Every class owns one compact Gaussian mode with isotropic spread equal to
-    noise. With probability background_rate a descriptor instead comes from
-    the shared background mode, whose spread is background_spread_factor
-    times wider: broad label-free clutter covering the class structure, which
-    is where unsupervised quantizers spend their subsets. noise = 0 with
+    noise, laid out by class_mode_layout at its default separation. With
+    probability background_rate a descriptor instead comes from the shared
+    background mode, whose spread is DEFAULT_BACKGROUND_SPREAD_FACTOR times
+    wider: broad label-free clutter covering the class structure, which is
+    where unsupervised quantizers spend their subsets. noise = 0 with
     background_rate = 0 therefore puts every descriptor exactly on its class
     mode. Bags are generated train split first, then test, class-major, so a
     fixed seed reproduces identical bags.
@@ -253,9 +259,7 @@ def generate_synthetic(
         raise ParameterError(f"noise must be >= 0, got {noise}")
     if not 0.0 <= background_rate <= 1.0:
         raise ParameterError(f"background_rate must lie in [0, 1], got {background_rate}")
-    if background_spread_factor < 0:
-        raise ParameterError("background_spread_factor must be >= 0")
-    modes, background = class_mode_layout(num_classes, dim, mode_separation)
+    modes, background = class_mode_layout(num_classes, dim)
     rng = np.random.default_rng(seed)
     splits: dict[str, list[FeatureBag]] = {"train": [], "test": []}
     for split, bags in splits.items():
@@ -264,7 +268,7 @@ def generate_synthetic(
                 from_background = rng.random(descriptors_per_item) < background_rate
                 centers = np.where(from_background[:, None], background, modes[c])
                 spreads = np.where(
-                    from_background[:, None], noise * background_spread_factor, noise
+                    from_background[:, None], noise * DEFAULT_BACKGROUND_SPREAD_FACTOR, noise
                 )
                 descriptors = centers + spreads * rng.standard_normal(
                     (descriptors_per_item, dim)

@@ -20,9 +20,7 @@ from .divergence import SmoothingConfig
 from .errors import KlvqError
 from .kmeans import kmeans_fit
 from .label_model import KnnConfig
-from .quantizer import QuantizerConfig, QuantizerModel, fit
-
-DEFAULT_K = 10
+from .quantizer import INIT_MODES, UPDATE_MODES, QuantizerConfig, QuantizerModel, fit
 
 
 def _fmt(value: float) -> str:
@@ -31,7 +29,7 @@ def _fmt(value: float) -> str:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     dataset = fileio.load_dataset(args.input)
-    knn = KnnConfig(k=args.knn) if args.knn is not None else KnnConfig(k=DEFAULT_K).clipped(dataset.n)
+    knn = KnnConfig(k=args.knn) if args.knn is not None else KnnConfig().clipped(dataset.n)
     config = QuantizerConfig(
         M=args.subsets,
         knn=knn,
@@ -148,12 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd = commands.add_parser("fit", help="train the KL quantizer on a labeled CSV")
     fit_cmd.add_argument("--input", required=True, help="labeled dataset CSV (f1,...,fd,label)")
     fit_cmd.add_argument("--subsets", required=True, type=int, help="number of quantization subsets M")
-    fit_cmd.add_argument("--knn", type=int, default=None, help=f"neighbor count (default {DEFAULT_K}, clipped to N)")
-    fit_cmd.add_argument("--epsilon", type=float, default=1e-6, help="additive smoothing constant")
-    fit_cmd.add_argument("--seed", type=int, default=0, help="initialization seed")
-    fit_cmd.add_argument("--max-iters", type=int, default=100)
-    fit_cmd.add_argument("--init", choices=["random", "kmeans"], default="random")
-    fit_cmd.add_argument("--mode", choices=["paper", "centroid"], default="paper")
+    fit_cmd.add_argument("--knn", type=int, default=None, help=f"neighbor count (default {KnnConfig.k}, clipped to N)")
+    fit_cmd.add_argument("--epsilon", type=float, default=SmoothingConfig.epsilon, help="additive smoothing constant")
+    fit_cmd.add_argument("--seed", type=int, default=QuantizerConfig.seed, help="initialization seed")
+    fit_cmd.add_argument("--max-iters", type=int, default=QuantizerConfig.max_iters)
+    fit_cmd.add_argument("--init", choices=INIT_MODES, default=QuantizerConfig.init)
+    fit_cmd.add_argument("--mode", choices=UPDATE_MODES, default=QuantizerConfig.update_mode)
     fit_cmd.add_argument("--output", required=True, help="model JSON path")
     fit_cmd.set_defaults(func=_cmd_fit)
 
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--train-dir", required=True)
     eval_cmd.add_argument("--test-dir", required=True)
     eval_cmd.add_argument("--model", required=True)
-    eval_cmd.add_argument("--distance", choices=["l1", "l2"], default="l1")
+    eval_cmd.add_argument("--distance", choices=bof.DISTANCES, default="l1")
     eval_cmd.set_defaults(func=_cmd_eval_bof)
 
     info_cmd = commands.add_parser("info", help="print model metadata")

@@ -25,7 +25,7 @@ from .bof import FeatureBag
 from .divergence import SmoothingConfig
 from .errors import DatasetFormatError, ModelFormatError, ParameterError
 from .kmeans import KmeansModel
-from .label_model import KnnConfig, LabeledDataset, require_int
+from .label_model import KnnConfig, LabeledDataset, require_int, require_real
 from .quantizer import QuantizerConfig, QuantizerModel
 
 FORMAT_VERSION = 1
@@ -231,15 +231,17 @@ def load_model(path: str | Path) -> Model:
                 converged=payload["converged"],
             )
         if kind == "kmeans":
-            model = KmeansModel(
-                centroids=payload["centroids"],
-                K=payload["K"],
-                inertia=payload["inertia"],
-                iterations_run=payload["iterations_run"],
-                inertia_trace=tuple(payload.get("inertia_trace", ())),
-            )
-            if require_int(payload["config"]["K"], "config.K") != model.K:
-                raise ValueError(f"config.K {payload['config']['K']} disagrees with K {model.K}")
+            model = KmeansModel(centroids=payload["centroids"], inertia_trace=tuple(payload["inertia_trace"]))
+            # The file repeats facts the centroids and the trace already hold.
+            copies = {
+                "K": (require_int(payload["K"], "K"), model.K),
+                "config.K": (require_int(payload["config"]["K"], "config.K"), model.K),
+                "inertia": (require_real(payload["inertia"], "inertia"), model.inertia),
+                "iterations_run": (require_int(payload["iterations_run"], "iterations_run"), model.iterations_run),
+            }
+            for name, (stored, derived) in copies.items():
+                if stored != derived:
+                    raise ValueError(f"{name} {stored!r} disagrees with {derived!r} from centroids and inertia_trace")
             return model
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model ({exc})") from None

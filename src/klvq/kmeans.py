@@ -20,37 +20,37 @@ from .partition import Partition, repair_empty
 
 @dataclass(frozen=True)
 class KmeansModel:
-    """Fitted centroids plus the fit diagnostics."""
+    """Fitted centroids plus the inertia after each fit iteration; K,
+    inertia and iterations_run are derived from them."""
 
     kind: ClassVar[str] = "kmeans"
 
     centroids: np.ndarray
-    K: int
-    inertia: float
-    iterations_run: int
-    inertia_trace: tuple[float, ...] = ()
+    inertia_trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
         centroids = real_matrix(self.centroids, "centroids")
-        if centroids.shape[0] != require_int(self.K, "K"):
-            raise ParameterError(f"centroids must be ({self.K}, d), got {centroids.shape}")
-        if require_real(self.inertia, "inertia") < 0:
-            raise ParameterError(f"inertia must be >= 0, got {self.inertia}")
-        if require_int(self.iterations_run, "iterations_run") < 1:
-            raise ParameterError(f"iterations_run must be >= 1, got {self.iterations_run}")
         trace = tuple(require_real(v, "inertia_trace entries") for v in self.inertia_trace)
-        if trace and trace[-1] != self.inertia:
-            raise ParameterError(f"inertia {self.inertia} is not the last inertia_trace entry {trace[-1]}")
-        if trace and len(trace) != self.iterations_run:
-            raise ParameterError(
-                f"iterations_run {self.iterations_run} disagrees with the {len(trace)} inertia_trace entries"
-            )
+        if not trace or min(trace) < 0:
+            raise ParameterError("inertia_trace must be a nonempty sequence of values >= 0")
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "inertia_trace", trace)
 
     @property
+    def K(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
     def M(self) -> int:
         return self.K
+
+    @property
+    def inertia(self) -> float:
+        return self.inertia_trace[-1]
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.inertia_trace)
 
     @property
     def dim(self) -> int:
@@ -107,14 +107,7 @@ def kmeans_fit(
         if assignment is not None and np.array_equal(proposed, assignment):
             break
         assignment = repaired
-    model = KmeansModel(
-        centroids=centroids,
-        K=K,
-        inertia=trace[-1],
-        iterations_run=len(trace),
-        inertia_trace=tuple(trace),
-    )
-    return model, Partition(assignment, K)
+    return KmeansModel(centroids=centroids, inertia_trace=tuple(trace)), Partition(assignment, K)
 
 
 def kmeans_assign(model: KmeansModel, query: Sequence[float] | np.ndarray) -> int:

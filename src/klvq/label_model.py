@@ -138,12 +138,10 @@ def _smallest_k(dists: np.ndarray, k: int) -> np.ndarray:
 
 
 def as_queries(queries: Sequence[Sequence[float]] | np.ndarray, dim: int) -> np.ndarray:
-    """Query vectors as a finite float64 (n, dim) matrix; raises ParameterError otherwise."""
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != dim:
+    """Query vectors as a real_matrix with dim columns; raises ParameterError otherwise."""
+    q = real_matrix(queries, "query vectors")
+    if q.shape[1] != dim:
         raise ParameterError(f"query vectors must have dimension {dim}, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ParameterError("query contains NaN or Inf entries")
     return q
 
 

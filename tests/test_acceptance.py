@@ -106,9 +106,7 @@ def test_criterion_2_brute_force_oracles():
         )
 
         centroids = rng.normal(size=(subset_dists.shape[0], dim))
-        model = KmeansModel(
-            centroids=centroids, K=centroids.shape[0], inertia=0.0, iterations_run=1
-        )
+        model = KmeansModel(centroids=centroids, inertia_trace=(0.0,))
         for _ in range(3):
             query = rng.normal(size=dim)
             assert kmeans_assign(model, query) == oracle_nearest(

@@ -140,7 +140,7 @@ def test_kmeans_codes_match_oracle(dim, data):
     base = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), dim), elements=coordinates))
     centroids = with_repeats(data.draw, base)
     queries = data.draw(arrays(np.float64, (data.draw(st.integers(1, 24)), dim), elements=coordinates))
-    model = KmeansModel(centroids=centroids, K=centroids.shape[0], inertia=0.0, iterations_run=1)
+    model = KmeansModel(centroids=centroids, inertia_trace=(0.0,))
     with blocks_of(data.draw(block_cells)):
         got = model.codes(np.vstack([queries, centroids]))
     assert got.dtype == np.int64

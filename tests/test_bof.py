@@ -139,6 +139,13 @@ class TestEvaluate:
         with pytest.raises(ParameterError):
             evaluate([bag_of([0], label=None)], [bag_of([0], label=0)], "t", first_column, 1)
 
+    def test_mixed_descriptor_dimensions_name_the_first_odd_item(self):
+        train = [bag_of([0, 1], label=0, item_id="a"), bag_of([1], label=1, item_id="b")]
+        wide = FeatureBag("c", np.zeros((2, 2)), label=0)
+        test = [bag_of([0], label=0, item_id="d"), wide, FeatureBag("e", np.zeros((1, 3)), label=1)]
+        with pytest.raises(ParameterError, match="item 'c' has descriptor dimension 2, the first item 'a' has 1"):
+            evaluate(train, test, "t", first_column, 2)
+
     def test_repeated_evaluation_is_identical(self):
         rng = np.random.default_rng(10)
         train = [bag_of(rng.integers(0, 3, size=8), label=int(rng.integers(0, 2))) for _ in range(6)]

@@ -219,6 +219,21 @@ class TestSynthAndEvalCommands:
         assert out == ""
         assert "K must be an integer" in err
 
+    def test_mixed_descriptor_dimensions_exit_one(self, tmp_path, capsys):
+        self.synth(capsys, tmp_path / "bench")
+        descriptors = tmp_path / "bench/descriptors.csv"
+        run(capsys, "fit", "--input", descriptors, "--subsets", 3, "--knn", 5, "--output", tmp_path / "klvq.json")
+        run(capsys, "kmeans-fit", "--input", descriptors, "--clusters", 3, "--output", tmp_path / "km.json")
+        item = (tmp_path / "bench/test/manifest.csv").read_text().splitlines()[1].split(",")
+        (tmp_path / "bench/test" / item[1]).write_text("f1,f2,f3\n1.0,2.0,3.0\n")
+        for model_path in (tmp_path / "klvq.json", tmp_path / "km.json"):
+            code, out, err = run(
+                capsys, "eval-bof", "--train-dir", tmp_path / "bench/train",
+                "--test-dir", tmp_path / "bench/test", "--model", model_path,
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and f"item {item[0]!r}" in err
+
 
 GOLDEN_PAPER_FIT = """\
 iterations: 8

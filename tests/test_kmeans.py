@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,28 +97,29 @@ class TestKmeansFit:
 
 class TestKmeansModelValidation:
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"inertia": np.nan},
-            {"inertia": np.inf},
-            {"inertia": True},
-            {"inertia_trace": (1.0, np.nan)},
-            {"inertia_trace": (np.inf,)},
-            {"inertia_trace": "12"},
-        ],
+        "trace",
+        [(2.0, np.nan), (2.0, np.inf), (2.0, True), (np.nan, 1.0), (np.inf,), "12"],
         ids=["nan-inertia", "inf-inertia", "boolean-inertia", "nan-trace", "inf-trace", "string-trace"],
     )
-    def test_non_finite_or_non_real_diagnostics_raise(self, kwargs):
-        fields = {"centroids": TWO_CLUSTERS, "K": 4, "inertia": 1.0, "iterations_run": 1, **kwargs}
+    def test_non_finite_or_non_real_diagnostics_raise(self, trace):
+        # The inertia is the last trace entry, so the "-inertia" cases spoil that entry.
         with pytest.raises(ParameterError, match="finite real number"):
-            KmeansModel(**fields)
+            KmeansModel(centroids=TWO_CLUSTERS, inertia_trace=trace)
 
+    @pytest.mark.parametrize("trace", [(), [], (1.0, -0.5)], ids=["empty-tuple", "empty-list", "negative-entry"])
+    def test_empty_or_negative_trace_raises(self, trace):
+        with pytest.raises(ParameterError, match="inertia_trace"):
+            KmeansModel(centroids=TWO_CLUSTERS, inertia_trace=trace)
 
     def test_inertia_must_be_the_last_trace_entry(self):
-        fields = {"centroids": TWO_CLUSTERS, "K": 4, "iterations_run": 2}
-        assert KmeansModel(**fields, inertia=1.0, inertia_trace=(2.0, 1.0)).inertia == 1.0
-        with pytest.raises(ParameterError, match="last inertia_trace entry"):
-            KmeansModel(**fields, inertia=2.0, inertia_trace=(2.0, 1.0))
+        model = KmeansModel(centroids=TWO_CLUSTERS, inertia_trace=[2.0, 1.0])
+        assert model.inertia_trace == (2.0, 1.0)
+        assert (model.K, model.M, model.inertia, model.iterations_run) == (4, 4, 1.0, 2)
+
+    def test_holds_only_centroids_and_trace(self):
+        assert [f.name for f in dataclasses.fields(KmeansModel)] == ["centroids", "inertia_trace"]
+        with pytest.raises(TypeError):
+            KmeansModel(centroids=TWO_CLUSTERS)
 
 
 class TestKmeansAssign:
@@ -130,26 +133,19 @@ class TestKmeansAssign:
             assert kmeans_assign(model, centroid) == j
 
     def test_equidistant_query_breaks_to_lower_index(self):
-        model = KmeansModel(
-            centroids=np.array([[0.0, 0.0], [2.0, 0.0]]),
-            K=2,
-            inertia=0.0,
-            iterations_run=1,
-        )
+        model = KmeansModel(centroids=np.array([[0.0, 0.0], [2.0, 0.0]]), inertia_trace=(0.0,))
         assert kmeans_assign(model, [1.0, 5.0]) == 0
 
     def test_hand_computed_query(self, model):
         ordered = np.array(sorted(model.centroids.tolist()))
-        model2 = KmeansModel(centroids=ordered, K=2, inertia=1.0, iterations_run=1)
+        model2 = KmeansModel(centroids=ordered, inertia_trace=(1.0,))
         assert kmeans_assign(model2, [9.0, 0.0]) == 1
 
     def test_matches_exhaustive_scan_exactly(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             centroids = random_features(rng, n=int(rng.integers(1, 16)))
-            model = KmeansModel(
-                centroids=centroids, K=centroids.shape[0], inertia=0.0, iterations_run=1
-            )
+            model = KmeansModel(centroids=centroids, inertia_trace=(0.0,))
             for _ in range(5):
                 query = rng.normal(size=centroids.shape[1])
                 got = kmeans_assign(model, query)

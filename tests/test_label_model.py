@@ -5,7 +5,10 @@ from klvq import (
     KnnConfig,
     LabeledDataset,
     ParameterError,
+    QuantizerConfig,
     estimate_all,
+    fit,
+    kmeans_fit,
     knn_indices,
     label_distributions,
 )
@@ -127,6 +130,36 @@ class TestKnnIndices:
         base = knn_indices(dataset, query, config)
         scaled = LabeledDataset(dataset.features * 3.5, dataset.labels, dataset.class_names)
         assert knn_indices(scaled, query * 3.5, config).tolist() == base.tolist()
+
+
+# Query batches for a d = 2 training set that real_matrix rejects.
+BAD_QUERIES = {
+    "string": [["1.0", "2.0"]],
+    "boolean": [[True, False]],
+    "complex": np.array([[1 + 0j, 2.0]]),
+    "object": np.array([[1.0, 2.0]], dtype=object),
+    "empty": np.empty((0, 2)),
+}
+
+
+class TestQueryValidation:
+    @pytest.fixture
+    def models(self, two_pair_dataset):
+        klvq_model, _, _ = fit(two_pair_dataset, QuantizerConfig(M=2, knn=KnnConfig(k=2)))
+        kmeans_model, _ = kmeans_fit(two_pair_dataset.features, 2)
+        return klvq_model, kmeans_model
+
+    @pytest.mark.parametrize("name", list(BAD_QUERIES))
+    def test_codes_reject_non_real_or_empty_batches(self, models, name):
+        for model in models:
+            with pytest.raises(ParameterError, match="query vectors"):
+                model.codes(BAD_QUERIES[name])
+
+    @pytest.mark.parametrize("name", list(BAD_QUERIES))
+    def test_knn_indices_rejects_non_real_or_empty_queries(self, two_pair_dataset, name):
+        query = BAD_QUERIES[name][0] if len(BAD_QUERIES[name]) else np.empty(0)
+        with pytest.raises(ParameterError, match="query vectors"):
+            knn_indices(two_pair_dataset, query, KnnConfig(k=1))
 
 
 class TestEstimateLabelDistribution:

@@ -193,11 +193,16 @@ def test_mutated_model_is_rejected(files, tmp_path, capsys, kind, field, value):
     assert_model_rejected(path, files["data"], capsys)
 
 
-def test_kmeans_model_with_empty_trace_loads(files, tmp_path):
+def test_kmeans_model_without_trace_is_rejected(files, tmp_path, capsys):
+    # Every saved k-means model carries its trace; K, inertia and
+    # iterations_run are derived from it and the centroids.
     path = tmp_path / "model.json"
     path.write_text(mutated(files["kmeans"], ("inertia_trace",), []))
-    model = load_model(path)
-    assert (model.K, model.inertia_trace) == (3, ())
+    assert_model_rejected(path, files["data"], capsys)
+    payload = json.loads(files["kmeans"])
+    del payload["inertia_trace"]
+    path.write_text(json.dumps(payload))
+    assert_model_rejected(path, files["data"], capsys)
 
 
 @pytest.mark.parametrize("fraction", TRUNCATIONS)
