@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .label_model import LabeledDataset, real_matrix, require_int
+from .label_model import LabeledDataset, real_matrix, require_int, require_real
 
 DISTANCES = ("l1", "l2")
 
@@ -255,7 +255,9 @@ def generate_synthetic(
     """
     if min(num_classes, items_per_class, descriptors_per_item, dim) < 1:
         raise ParameterError("all generator counts must be >= 1")
-    if noise < 0:
+    if require_int(seed, "seed") < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if require_real(noise, "noise") < 0:
         raise ParameterError(f"noise must be >= 0, got {noise}")
     if not 0.0 <= background_rate <= 1.0:
         raise ParameterError(f"background_rate must lie in [0, 1], got {background_rate}")

@@ -2,7 +2,9 @@
 
 Coordinates are drawn partly from a coarse grid and some rows are repeated,
 so that distance ties, including ties at the kth neighbor, are common. The
-block size is also drawn, so that batches cross block boundaries.
+block size is also drawn, so that batches cross block boundaries, and so
+are the k-d leaf and query group sizes of the kNN search, so that these
+small datasets split into many leaves and groups and far leaves are skipped.
 
 The fit loop's premises are pinned the same way: its own-subset KL terms,
 distinct-row KL lookups, subset distributions, smoothing and one-sort
@@ -60,6 +62,17 @@ def blocks_of(cells):
         yield
 
 
+search_sizes = st.sampled_from([1, 2, 4, label_model.LEAF_SIZE])
+
+
+@contextlib.contextmanager
+def leaves_of(leaf_size, group_size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(label_model, "LEAF_SIZE", leaf_size)
+        patch.setattr(label_model, "GROUP_SIZE", group_size)
+        yield
+
+
 def with_repeats(draw, rows):
     """rows plus copies of some of them."""
     copies = draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=6))
@@ -78,7 +91,7 @@ def knn_cases(draw, dim):
     include_self = draw(st.booleans())
     bound = dataset.n if include_self else dataset.n - 1
     assume(bound >= 1)
-    config = KnnConfig(k=draw(st.integers(1, bound)), include_self=include_self)
+    config = KnnConfig(k=draw(st.one_of(st.just(bound), st.integers(1, bound))), include_self=include_self)
     return dataset, np.vstack([features, extra]), config
 
 
@@ -92,7 +105,7 @@ def oracle_distribution(dataset, query, k, exclude_index=None):
 @given(data=st.data())
 def test_label_distributions_match_oracle(dim, data):
     dataset, queries, config = data.draw(knn_cases(dim))
-    with blocks_of(data.draw(block_cells)):
+    with blocks_of(data.draw(block_cells)), leaves_of(data.draw(search_sizes), data.draw(search_sizes)):
         got = label_distributions(dataset, queries, config)
         got_all = estimate_all(dataset, config)
     want = [oracle_distribution(dataset, q, config.k) for q in queries]
@@ -126,7 +139,7 @@ def test_quantizer_codes_match_oracle(dim, data):
         iterations_run=1,
         converged=True,
     )
-    with blocks_of(data.draw(block_cells)):
+    with blocks_of(data.draw(block_cells)), leaves_of(data.draw(search_sizes), data.draw(search_sizes)):
         got = model.codes(queries)
     point_dists = [oracle_distribution(dataset, q, config.k).tolist() for q in queries]
     assert got.dtype == np.int64

@@ -215,6 +215,15 @@ class TestGenerateSynthetic:
         report = evaluate(train_bags, test_bags, "klvq", model.codes, 3)
         assert report.overall_accuracy == 1.0
 
+    def test_rejects_a_negative_seed_by_name(self):
+        with pytest.raises(ParameterError, match="^seed must be >= 0, got -1$"):
+            generate_synthetic(-1, 1, 1, 1, 1, 0.0)
+
+    @pytest.mark.parametrize("noise", [np.inf, np.nan])
+    def test_rejects_non_finite_noise_by_name(self, noise):
+        with pytest.raises(ParameterError, match="^noise must be a finite real number"):
+            generate_synthetic(0, 1, 1, 1, 1, noise)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             generate_synthetic(0, 0, 1, 1, 1, 0.0)

@@ -169,6 +169,23 @@ class TestSynthAndEvalCommands:
         assert (tmp_path / "bench/descriptors.csv").exists()
         assert "train items: 9" in out
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--noise", "inf", "noise must be a finite real number, got inf"),
+        ],
+        ids=["seed", "noise"],
+    )
+    def test_synth_names_a_bad_flag(self, tmp_path, capsys, flag, value, message):
+        flags = {
+            "--seed": 5, "--classes": 3, "--items-per-class": 3, "--descriptors": 8,
+            "--dim": 2, "--noise": 1.0, "--out-dir": tmp_path / "bench", flag: value,
+        }
+        code, out, err = run(capsys, "synth", *[item for pair in flags.items() for item in pair])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "bench").exists()
+
     def test_synth_then_eval_is_byte_deterministic(self, tmp_path, capsys):
         outputs = []
         for attempt in ("one", "two"):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from klvq import (
+    FeatureBag,
+    KmeansModel,
     KnnConfig,
     LabeledDataset,
     ParameterError,
@@ -12,6 +14,8 @@ from klvq import (
     knn_indices,
     label_distributions,
 )
+from klvq import label_model
+from klvq.label_model import real_matrix
 
 from oracles import oracle_knn
 
@@ -162,6 +166,30 @@ class TestQueryValidation:
             knn_indices(two_pair_dataset, query, KnnConfig(k=1))
 
 
+RAGGED = [[1.0, 2.0], [1.0]]
+
+
+class TestRaggedInput:
+    def test_real_matrix_names_the_matrix(self):
+        with pytest.raises(ParameterError, match="^features must be an \\(N, d\\) matrix, got rows of unequal length$"):
+            real_matrix(RAGGED, "features")
+
+    def test_codes_reject_ragged_batches(self, two_pair_dataset):
+        klvq_model, _, _ = fit(two_pair_dataset, QuantizerConfig(M=2, knn=KnnConfig(k=2)))
+        kmeans_model, _ = kmeans_fit(two_pair_dataset.features, 2)
+        for model in (klvq_model, kmeans_model):
+            with pytest.raises(ParameterError, match="^query vectors must be an"):
+                model.codes(RAGGED)
+
+    def test_constructors_reject_ragged_matrices(self):
+        with pytest.raises(ParameterError, match="^features must be an"):
+            LabeledDataset(RAGGED, np.array([0, 0]), ("a",))
+        with pytest.raises(ParameterError, match="^centroids must be an"):
+            KmeansModel(centroids=RAGGED, inertia_trace=(0.0,))
+        with pytest.raises(ParameterError, match="^descriptors of item 'x' must be an"):
+            FeatureBag("x", RAGGED, label=0)
+
+
 class TestEstimateLabelDistribution:
     def test_pure_neighborhood_is_one_hot(self, two_pair_dataset):
         probs = label_distributions(two_pair_dataset, [[0.0, 0.0]], KnnConfig(k=2))[0]
@@ -227,3 +255,72 @@ class TestEstimateAll:
                     got[i],
                     label_distributions(dataset, [dataset.features[i]], config, leave_out)[0],
                 )
+
+
+class TestPrunedSearch:
+    """label_distributions skips the k-d leaves that lie farther from a query
+    group than its bound; these tests watch which rows each group searches."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """(query block, searched rows or None for all rows) of every group."""
+        calls = []
+        count_labels = label_model._count_labels
+
+        def spy(dataset, columns, queries, rows, leave_out, k):
+            calls.append((queries.copy(), rows))
+            return count_labels(dataset, columns, queries, rows, leave_out, k)
+
+        monkeypatch.setattr(label_model, "_count_labels", spy)
+        return calls
+
+    def test_a_group_keeps_no_leaf_of_the_far_cluster(self, searched):
+        rng = np.random.default_rng(53)
+        near = rng.uniform(0.0, 1.0, size=(200, 2))
+        dataset = LabeledDataset(np.vstack([near, near + 100.0]), np.repeat([0, 1], 200), ("near", "far"))
+        queries = np.vstack([near[:64], near[:64] + 100.0]) + 0.25
+        got = label_distributions(dataset, queries, KnnConfig(k=10))
+        np.testing.assert_array_equal(got, np.repeat([[1.0, 0.0], [0.0, 1.0]], 64, axis=0))
+        assert sum(block.shape[0] for block, _ in searched) == 128
+        for block, rows in searched:
+            far = bool(block[0, 0] > 50.0)
+            assert rows is not None and (block[:, 0] > 50.0).all() == far
+            assert ((rows >= 200) == far).all()
+
+    def test_distances_overflowing_to_inf_search_every_row(self, monkeypatch, searched):
+        # With k = 2 the second-nearest distance of the query 0 overflows to
+        # inf, so the bound is inf and every group searches all rows.
+        monkeypatch.setattr(label_model, "LEAF_SIZE", 1)
+        monkeypatch.setattr(label_model, "GROUP_SIZE", 1)
+        features = np.array([[2e154], [-2e154], [1e100], [3e154], [-3e154]])
+        dataset = LabeledDataset(features, np.array([0, 1, 1, 0, 1]), ("a", "b"))
+        with np.errstate(over="ignore"):
+            got = label_distributions(dataset, [[0.0], [1e100]], KnnConfig(k=2))
+        # Row 2 is nearest; rows 0, 1, 3 and 4 tie at inf and row 0 wins.
+        np.testing.assert_array_equal(got, [[0.5, 0.5], [0.5, 0.5]])
+        assert len(searched) == 2 and all(rows is None for _, rows in searched)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_groups_of_many_queries_match_the_oracle(self, monkeypatch, searched, dim, include_self):
+        # Six clusters of rows and queries on a coarse grid, so distances tie
+        # often, in groups of up to 16 queries that must share one bound.
+        monkeypatch.setattr(label_model, "LEAF_SIZE", 4)
+        monkeypatch.setattr(label_model, "GROUP_SIZE", 16)
+        rng = np.random.default_rng(59 + dim)
+        centers = rng.integers(-10, 11, size=(6, dim)) * 2.0
+        features = centers[rng.integers(0, 6, size=240)] + rng.integers(-4, 5, size=(240, dim)) / 2.0
+        dataset = LabeledDataset(features, rng.integers(0, 4, size=240), ("a", "b", "c", "d"))
+        config = KnnConfig(k=7, include_self=include_self)
+        if include_self:
+            queries = features + rng.integers(-1, 2, size=features.shape) / 4.0
+            got = label_distributions(dataset, queries, config)
+        else:
+            queries = features
+            got = estimate_all(dataset, config)
+        assert any(rows is not None for _, rows in searched)
+        for i, query in enumerate(queries):
+            exclude = None if include_self else i
+            neighbors = oracle_knn(features.tolist(), query.tolist(), 7, exclude)
+            want = np.bincount(dataset.labels[neighbors], minlength=4) / 7.0
+            np.testing.assert_array_equal(got[i], want)

@@ -3,9 +3,12 @@
 The modules form an acyclic import graph, every import sits at module
 level, no import is hidden behind ``TYPE_CHECKING``, and only ``fileio``
 imports ``csv`` or ``json``, so the file formats stay behind one module.
+Besides the package itself, the modules import only the standard library
+and numpy: numpy is the one dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,13 +81,23 @@ def test_no_type_checking_only_package_import(name):
                 )
 
 
+def absolute_imports(tree):
+    """(line, top-level module names) of each absolute import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node.lineno, {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.lineno, {node.module.split(".")[0]}
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_only_fileio_reads_file_formats(name):
-    for node in ast.walk(MODULES[name]):
-        if isinstance(node, ast.Import):
-            found = {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            found = {node.module.split(".")[0]}
-        else:
-            continue
-        assert name == "fileio" or not found & {"csv", "json"}, f"{name}.py:{node.lineno} imports {found}"
+    for lineno, found in absolute_imports(MODULES[name]):
+        assert name == "fileio" or not found & {"csv", "json"}, f"{name}.py:{lineno} imports {found}"
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_imports_only_the_standard_library_numpy_and_the_package(name):
+    allowed = set(sys.stdlib_module_names) | {"__future__", "numpy", "klvq"}
+    for lineno, found in absolute_imports(MODULES[name]):
+        assert found <= allowed, f"{name}.py:{lineno} imports {sorted(found - allowed)}"
