@@ -30,6 +30,8 @@ from .quantizer import QuantizerConfig, QuantizerModel
 
 FORMAT_VERSION = 1
 _MANIFEST_HEADER = ["item_id", "path", "label"]
+# A csv quote, or U+001C-U+001F, which loadtxt strips around a number and float() rejects.
+_NOT_CLEAN = '"\x1c\x1d\x1e\x1f'
 
 Model = Union[QuantizerModel, KmeansModel]
 
@@ -41,8 +43,14 @@ def _feature_header(dim: int) -> list[str]:
 def _read_csv(path: Path) -> list[list[str]]:
     if not path.exists():
         raise DatasetFormatError(f"file not found: {path}")
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle)]
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:
+            raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DatasetFormatError(f"{path}: empty file")
     return rows
@@ -51,8 +59,35 @@ def _read_csv(path: Path) -> list[list[str]]:
 def _read_table(path: Path, label: Optional[bool], rows_name: str = "data") -> tuple[np.ndarray, list[str]]:
     """Read a ``f1,...,fd[,label]`` CSV into its (N, d) float matrix and its N
     label cells (empty without a label column). label=None makes the label
-    column optional; errors name the first bad line in file order."""
-    rows = _read_csv(path)
+    column optional. A clean table is parsed by one np.loadtxt call, which rounds
+    like float(); any other file, and so every error, goes to _parse_rows."""
+    try:
+        # Universal newlines, as csv ends a record at \r\n, \r or \n outside quotes.
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
+        text = ""  # _read_csv raises the error
+    lines = text.removesuffix("\n").split("\n")
+    header = lines[0].split(",")
+    labeled = header[-1:] == ["label"] if label is None else label
+    dim = len(header) - labeled
+    split = [line.rpartition(",") for line in lines[1:]] if labeled else []
+    body = [cells[0] for cells in split] if labeled else lines[1:]
+    # loadtxt skips empty lines, so every data line must have a feature cell.
+    clean = body and all(body) and not any(char in text for char in _NOT_CLEAN)
+    if clean and dim >= 1 and header == _feature_header(dim) + ["label"] * labeled:
+        try:
+            features = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            features = None
+        if features is not None and features.shape == (len(body), dim) and np.isfinite(features).all():
+            return features, [cells[2] for cells in split]
+    return _parse_rows(path, _read_csv(path), label, rows_name)
+
+
+def _parse_rows(
+    path: Path, rows: list[list[str]], label: Optional[bool], rows_name: str
+) -> tuple[np.ndarray, list[str]]:
+    """The per-cell reader behind _read_table; errors name the first bad line in file order."""
     header = rows[0]
     if label is None:
         label = bool(header) and header[-1] == "label"
@@ -85,7 +120,7 @@ def _read_table(path: Path, label: Optional[bool], rows_name: str = "data") -> t
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     """Write header and rows; a float cell is written as its repr, which
     reads back to the same float."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -181,7 +216,7 @@ def save_model(model: Model, path: str | Path) -> None:
     else:
         raise ParameterError(f"cannot save model of type {type(model).__name__}")
     payload = {"format_version": FORMAT_VERSION, "kind": model.kind, **fields}
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
@@ -192,9 +227,9 @@ def load_model(path: str | Path) -> Model:
     if not path.exists():
         raise ModelFormatError(f"model file not found: {path}")
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: invalid or truncated JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")

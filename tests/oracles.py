@@ -5,9 +5,12 @@ and the most direct numpy calls, so it shares no code with the
 implementation under test.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from klvq import DatasetFormatError
 
 
 def oracle_knn(features, query, k, exclude_index=None):
@@ -81,3 +84,40 @@ def oracle_nearest(centroids, query):
         if best is None or dist < best[0]:
             best = (dist, idx)
     return best[1]
+
+
+def oracle_read_table(path, label, rows_name="data"):
+    """The feature-table reader as one csv.reader pass and a float() call per
+    cell: the (N, d) matrix and the N label cells, or DatasetFormatError
+    naming the first bad line in file order, with the library's messages."""
+    if not path.exists():
+        raise DatasetFormatError(f"file not found: {path}")
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise DatasetFormatError(f"{path}: empty file")
+    header = rows[0]
+    if label is None:
+        label = bool(header) and header[-1] == "label"
+    columns = header[:-1] if label else header
+    if label and (len(header) < 2 or header[-1] != "label"):
+        raise DatasetFormatError(f'{path}: line 1: header must end with a "label" column')
+    if not columns or columns != [f"f{i}" for i in range(1, len(columns) + 1)]:
+        raise DatasetFormatError(f'{path}: line 1: header must be "f1,...,fd{",label" if label else ""}"')
+    if len(rows) < 2:
+        raise DatasetFormatError(f"{path}: no {rows_name} rows")
+    features = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DatasetFormatError(f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}")
+        for column, cell in enumerate(row[: len(columns)], start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}, column {column}: {cell!r} is not a real number"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetFormatError(f"{path}: line {lineno}, column {column}: non-finite value {cell!r}")
+            features[lineno - 2, column - 1] = value
+    return features, [row[-1] for row in rows[1:]] if label else []

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_read_table
 
 from klvq import (
     DatasetFormatError,
@@ -23,6 +26,8 @@ from klvq import (
     save_dataset,
     save_model,
 )
+from klvq import fileio
+from klvq.cli import cli
 
 
 def write(path, text):
@@ -296,3 +301,115 @@ class TestBagStorage:
         bag = FeatureBag(item_id="item", descriptors=np.zeros((2, 2)))
         with pytest.raises(ParameterError, match="'item' has no label to store"):
             save_bags([bag], tmp_path / "bags", ("a",))
+
+
+def test_oversized_quoted_cell_names_the_line(tmp_path):
+    cell = '"' + "1" * 200_000 + '"'
+    path = write(tmp_path / "item.csv", f"f1\n1.0\n{cell}\n")
+    with pytest.raises(DatasetFormatError, match=r"item.csv: line 3: field larger than field limit"):
+        load_feature_matrix(path)
+    with pytest.raises(DatasetFormatError, match=r"manifest.csv: line 2: field larger than field limit"):
+        load_bags(write(tmp_path / "manifest.csv", f"item_id,path,label\n{cell},item.csv,a\n").parent)
+
+
+# Good cells are read alike by loadtxt and float(). Odd cells are rejected by
+# one of them or both, or are quoted, and send the file to the per-cell loop.
+PADDING = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0", "\u2003"])
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.tuples(PADDING, st.sampled_from(["1.5", "-2", "3e-3"])).map(lambda pair: pair[0] + pair[1] + pair[0]),
+)
+ODD_CELLS = st.sampled_from(
+    ["1_0", "\u0661", "nan", "-inf", "Infinity", "1e400", "", "x", '"2.5"', '"1,5"', "-0.0", "0x10", "\x1c1.5", "2\x1f"]
+)
+ODD_LABELS = st.one_of(
+    st.text(alphabet='ab,"\r\n ', max_size=4),
+    st.text(alphabet='ab,"\r\n ', max_size=4).map(lambda text: '"' + text.replace('"', '""') + '"'),
+)
+
+
+@st.composite
+def table_files(draw):
+    """(file text, label argument): mostly clean tables, with now and then a
+    wrong header, a short or long row, a blank line, an odd cell or label;
+    any line ends, with or without a final line end."""
+
+    def rarely(odd, usual, one_in=8):
+        return draw(odd) if draw(st.integers(1, one_in)) == 1 else draw(usual)
+
+    dim = draw(st.integers(1, 3))
+    label = draw(st.sampled_from([True, False, None]))
+    labeled = label if label is not None else draw(st.booleans())
+    header = [f"f{i}" for i in range(1, dim + 1)] + ["label"] * labeled
+    wrong = [header[:-1] or ["label"], header + ["label"], ["f2"] + header[1:]]
+    header = rarely(st.sampled_from(wrong), st.just(header))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        width = dim + rarely(st.sampled_from([-1, 1]), st.just(0), 12)
+        cells = [rarely(ODD_CELLS, GOOD_CELLS, 40) for _ in range(width)]
+        cells += [rarely(ODD_LABELS, st.sampled_from(["a", "b", "label", ""]))] * labeled
+        lines.append(rarely(st.just(""), st.just(",".join(cells)), 30))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")), label
+
+
+def read(read_table, path, label):
+    try:
+        return read_table(path, label)
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+def assert_reads_as_oracle(path, label):
+    """Bit-identical matrices and the same label cells, or the same error."""
+    got, want = read(fileio._read_table, path, label), read(oracle_read_table, path, label)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got[0].shape == want[0].shape
+        assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+        assert got[1] == want[1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=table_files())
+def test_reader_matches_the_per_cell_oracle(tmp_path_factory, case):
+    text, label = case
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_as_oracle(path, label)
+
+
+@pytest.mark.parametrize(
+    "cell", ["\x1c1.5", "1.5\x1d", "\x1e-2", "3\x1f", "1_0", "\u0661", "\xa01.5", '"1.5"', "1e400"]
+)
+@pytest.mark.parametrize("label", [True, False])
+def test_cells_at_the_edge_of_loadtxt_syntax_read_as_float_reads_them(tmp_path, cell, label):
+    """loadtxt strips U+001C-U+001F around a number and rejects underscores
+    and non-ASCII digits; float() does the reverse."""
+    path = write(tmp_path / "table.csv", "f1,f2" + ",label" * label + f"\n0.5,{cell}" + ",a" * label + "\n")
+    assert_reads_as_oracle(path, label)
+
+
+def test_clean_files_take_the_loadtxt_path(tmp_path, monkeypatch):
+    """klvq's own CSVs (\\r\\n line ends) and \\n-ended files never reach the
+    per-cell loop; a file with a quoted cell does."""
+    parsed = []
+    parse_rows = fileio._parse_rows
+    monkeypatch.setattr(fileio, "_parse_rows", lambda path, *rest: parsed.append(path) or parse_rows(path, *rest))
+    flags = {"--seed": 3, "--classes": 2, "--items-per-class": 2, "--descriptors": 4, "--dim": 3, "--noise": 1}
+    assert cli(["synth", "--out-dir", str(tmp_path / "bench")] + [str(a) for pair in flags.items() for a in pair]) == 0
+    assert b"\r\n" in (tmp_path / "bench/descriptors.csv").read_bytes()
+    load_bags(tmp_path / "bench/train")
+    load_bags(tmp_path / "bench/test")
+    dataset = load_dataset(tmp_path / "bench/descriptors.csv")
+    load_feature_matrix(tmp_path / "bench/descriptors.csv")
+    save_dataset(tmp_path / "saved.csv", dataset)
+    load_dataset(tmp_path / "saved.csv")
+    load_feature_matrix(write(tmp_path / "queries.csv", "f1,f2\n0.5,-1e-3\n2,3\n"))
+    assert parsed == []
+    load_feature_matrix(write(tmp_path / "quoted.csv", 'f1,f2\n"0.5",1\n'))
+    assert parsed == [tmp_path / "quoted.csv"]

@@ -4,7 +4,8 @@ The modules form an acyclic import graph, every import sits at module
 level, no import is hidden behind ``TYPE_CHECKING``, and only ``fileio``
 imports ``csv`` or ``json``, so the file formats stay behind one module.
 Besides the package itself, the modules import only the standard library
-and numpy: numpy is the one dependency.
+and numpy: numpy is the one dependency. Every file is opened with an
+explicit encoding, so the locale never picks the codec.
 """
 
 import ast
@@ -101,3 +102,13 @@ def test_imports_only_the_standard_library_numpy_and_the_package(name):
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy", "klvq"}
     for lineno, found in absolute_imports(MODULES[name]):
         assert found <= allowed, f"{name}.py:{lineno} imports {sorted(found - allowed)}"
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_file_is_opened_with_an_encoding(name):
+    for node in ast.walk(MODULES[name]):
+        if isinstance(node, ast.Call):
+            called = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if called in {"open", "read_text", "write_text"}:
+                keywords = {keyword.arg for keyword in node.keywords}
+                assert "encoding" in keywords, f"{name}.py:{node.lineno} calls {called}() without encoding="

@@ -221,6 +221,13 @@ def test_top_level_array_is_rejected(files, tmp_path, capsys):
     assert_model_rejected(path, files["data"], capsys)
 
 
+@pytest.mark.parametrize("kind", ["klvq", "kmeans"])
+def test_non_utf8_model_is_rejected(files, tmp_path, capsys, kind):
+    path = tmp_path / "model.json"
+    path.write_bytes(files[kind].encode().replace(b'"kind": "', b'"kind": "\xff'))
+    assert_model_rejected(path, files["data"], capsys)
+
+
 def csv_with_cell(text, row, column, cell):
     lines = text.splitlines()
     cells = lines[row].split(",")
@@ -244,19 +251,40 @@ DATASET_MUTATIONS = [
     pytest.param(lambda t: t.replace("f2", "f3", 1), id="wrong-header"),
     pytest.param(lambda t: t.splitlines()[0] + "\n", id="header-only"),
     pytest.param(lambda t: "", id="empty-file"),
+    pytest.param(lambda t: csv_with_cell(t, 2, 2, "a\udcff"), id="non-utf8-label"),
+    pytest.param(lambda t: csv_with_cell(t, 2, 0, '"' + "1" * 200_000 + '"'), id="oversized-quoted-cell"),
 ]
 
 
 @pytest.mark.parametrize("mutate", DATASET_MUTATIONS)
 def test_mutated_dataset_is_rejected(files, tmp_path, capsys, mutate):
     path = tmp_path / "data.csv"
-    path.write_text(mutate(files["data"].read_text()))
+    # A lone surrogate in the mutated text stands for a byte that is not UTF-8.
+    path.write_bytes(mutate(files["data"].read_text()).encode("utf-8", "surrogateescape"))
     with pytest.raises(DatasetFormatError):
         load_dataset(path)
     code = cli(["fit", "--input", str(path), "--subsets", "1", "--output", str(tmp_path / "m.json")])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"f1,label\n1.0,a\xff\n", id="non-utf8-label"),
+        pytest.param(b'f1\n"' + b"1" * 200_000 + b'"\n', id="oversized-quoted-cell"),
+    ],
+)
+def test_unreadable_query_file_is_rejected(files, tmp_path, capsys, content):
+    model = tmp_path / "model.json"
+    model.write_text(files["kmeans"])
+    path = tmp_path / "queries.csv"
+    path.write_bytes(content)
+    code = cli(["quantize", "--model", str(model), "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("fraction", TRUNCATIONS)
