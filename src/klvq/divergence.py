@@ -54,31 +54,57 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(_kl_terms(p, q).sum())
 
 
+@dataclass(frozen=True)
+class PointTable:
+    """The distinct (value, class) pairs of N point distributions over C classes.
+
+    values: (K,) the value of each pair; classes: (K,) its class;
+    pair_index: (N, C) the pair of every cell. A kNN distribution is a count
+    vector divided by k, so K is at most (k+1)*C however many rows there are.
+    Built once, it serves any number of subset distributions (see kl).
+    """
+
+    values: np.ndarray
+    classes: np.ndarray
+    pair_index: np.ndarray
+
+    @classmethod
+    def of(cls, point_dists: np.ndarray) -> PointTable:
+        P = np.asarray(point_dists, dtype=np.float64)
+        if P.ndim != 2:
+            raise ParameterError(f"expected (N, C) point distributions, got {P.shape}")
+        C = P.shape[1]
+        values, value_index = np.unique(P, return_inverse=True)
+        pairs, pair_index = np.unique(value_index.reshape(P.shape) * C + np.arange(C), return_inverse=True)
+        return cls(values[pairs // C], pairs % C, pair_index.reshape(P.shape))
+
+    def kl(self, subset_dists: np.ndarray) -> np.ndarray:
+        """(N, m) KL of every point distribution against each of m subset rows.
+
+        The term p*ln(p/q) depends only on the value p, its class c and the
+        subset, so it is evaluated once per pair and subset, in an (m, K)
+        table. Each row's C terms are gathered from the table into a
+        contiguous (m, N, C) array and summed over its last axis: the same
+        terms added in the same order as a sum over the (N, m, C) broadcast,
+        so every entry is bit-identical to it, and column j depends on
+        subset row j alone.
+        """
+        Q = np.asarray(subset_dists, dtype=np.float64)
+        if Q.ndim != 2 or Q.shape[1] != self.pair_index.shape[1]:
+            raise ParameterError(
+                f"expected (N, C) and (M, C) distribution arrays, got {self.pair_index.shape} and {Q.shape}"
+            )
+        table = _kl_terms(self.values, Q[:, self.classes])
+        return np.take(table, self.pair_index, axis=1).sum(axis=2).T
+
+
 def kl_matrix(point_dists: np.ndarray, subset_dists: np.ndarray) -> np.ndarray:
     """KL of every point distribution against every subset distribution.
 
     point_dists: (N, C) rows; subset_dists: (M, C) rows. Returns an (N, M)
     array whose [i, m] entry equals kl_divergence(point_dists[i], subset_dists[m]).
-
-    The term p*ln(p/q) depends only on the value p, its class c and the
-    subset m, so it is evaluated once per distinct (value, class) pair and
-    subset, in an (M, K) table. A kNN distribution is a count vector divided
-    by k, so K is at most (k+1)*C however many rows there are. Each row's C
-    terms are gathered from the table into a contiguous (M, N, C) array and
-    summed over its last axis: the same terms added in the same order as a
-    sum over the (N, M, C) broadcast, so every entry is bit-identical to it.
     """
-    P = np.asarray(point_dists, dtype=np.float64)
-    Q = np.asarray(subset_dists, dtype=np.float64)
-    if P.ndim != 2 or Q.ndim != 2 or P.shape[1] != Q.shape[1]:
-        raise ParameterError(
-            f"expected (N, C) and (M, C) distribution arrays, got {P.shape} and {Q.shape}"
-        )
-    C = P.shape[1]
-    values, value_index = np.unique(P, return_inverse=True)
-    pairs, pair_index = np.unique(value_index.reshape(P.shape) * C + np.arange(C), return_inverse=True)
-    table = _kl_terms(values[pairs // C], Q[:, pairs % C])
-    return np.take(table, pair_index.reshape(P.shape), axis=1).sum(axis=2).T
+    return PointTable.of(point_dists).kl(subset_dists)
 
 
 def smooth(raw_counts: np.ndarray, config: SmoothingConfig) -> np.ndarray:

@@ -72,8 +72,12 @@ def _read_table(path: Path, label: Optional[bool], rows_name: str = "data") -> t
     dim = len(header) - labeled
     split = [line.rpartition(",") for line in lines[1:]] if labeled else []
     body = [cells[0] for cells in split] if labeled else lines[1:]
-    # loadtxt skips empty lines, so every data line must have a feature cell.
-    clean = body and all(body) and not any(char in text for char in _NOT_CLEAN)
+    # loadtxt skips empty lines, so every data line must have a feature cell;
+    # and it has no field limit, so a line longer than csv's goes to csv.
+    clean = (
+        body and all(body) and not any(char in text for char in _NOT_CLEAN)
+        and max(map(len, lines)) <= csv.field_size_limit()
+    )
     if clean and dim >= 1 and header == _feature_header(dim) + ["label"] * labeled:
         try:
             features = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .label_model import BLOCK_CELLS, as_queries, real_matrix, require_int, require_real
-from .partition import Partition, repair_empty
+from .partition import CycleLog, Partition, repair_empty
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,12 @@ def _nearest(features: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, n
     return np.argmin(sq, axis=1), sq
 
 
+def _update_centroids(X: np.ndarray, assignment: np.ndarray, centroids: np.ndarray) -> None:
+    """Set each centroid to the mean of its members (every cluster has one)."""
+    for m in range(centroids.shape[0]):
+        centroids[m] = X[assignment == m].mean(axis=0)
+
+
 def kmeans_fit(
     features: np.ndarray,
     K: int,
@@ -83,7 +89,12 @@ def kmeans_fit(
 
     The inertia recorded after each iteration (sum of squared distances of
     points to their updated centroids) is non-increasing and is kept on the
-    model as inertia_trace.
+    model as inertia_trace. From the second iteration on, an iteration is a
+    function of the repaired assignment the previous one left, so once such
+    an assignment comes back the recorded cycle is replayed up to max_iters
+    (CycleLog) and the final centroids are recomputed from the assignment
+    the replay ends on: trace, centroids and partition are those that
+    running every iteration gives.
     """
     X = real_matrix(features, "features")
     n = X.shape[0]
@@ -97,12 +108,19 @@ def kmeans_fit(
     rng = np.random.default_rng(seed)
     centroids = X[rng.choice(n, size=K, replace=False)].copy()
     assignment: np.ndarray | None = None
+    cycle = CycleLog()
     trace: list[float] = []
-    for _ in range(max_iters):
+    for iteration in range(max_iters):
+        # From iteration 1 on, an iteration starts from the previous repaired assignment.
+        replay = None if assignment is None else cycle.revisit(iteration, assignment, max_iters)
+        if replay is not None:
+            phases, assignment = replay
+            trace += [trace[phase] for phase in phases]
+            _update_centroids(X, assignment, centroids)
+            break
         proposed, sq = _nearest(X, centroids)
         repaired = repair_empty(proposed, K, lambda own: sq[np.arange(own.shape[0]), own])
-        for m in range(K):
-            centroids[m] = X[repaired == m].mean(axis=0)
+        _update_centroids(X, repaired, centroids)
         trace.append(float(((X - centroids[repaired]) ** 2).sum()))
         if assignment is not None and np.array_equal(proposed, assignment):
             break

@@ -1,7 +1,8 @@
-"""Partitions of N points into M subsets, and the empty-subset repair rule
-shared by the KL quantizer and the k-means baseline; they differ only in the
-cost of a point in its own subset (KL to its distribution, squared distance
-to its centroid)."""
+"""Partitions of N points into M subsets, and what the KL quantizer and the
+k-means baseline share about them: the empty-subset repair rule, where they
+differ only in the cost of a point in its own subset (KL to its
+distribution, squared distance to its centroid), and the CycleLog with which
+both fit loops replay a revisited assignment's cycle."""
 
 from __future__ import annotations
 
@@ -71,3 +72,33 @@ def repair_empty(
         assignment[best] = target
         sizes[target] += 1
     return assignment
+
+
+class CycleLog:
+    """The assignments that the iterations of a fit loop start from.
+
+    Both fit loops are deterministic: what an iteration records and the
+    assignment it hands on are functions of the assignment it starts from.
+    So once iteration r starts from the assignment of an earlier iteration
+    f, the loop is periodic from f on with period r - f, and every later
+    iteration repeats the one at the same phase of the cycle. Each
+    assignment is keyed once, by its int64 bytes.
+    """
+
+    def __init__(self) -> None:
+        self._first: dict[bytes, int] = {}
+        self._starts: dict[int, bytes] = {}
+
+    def revisit(self, iteration: int, assignment: np.ndarray, max_iters: int) -> tuple[list[int], np.ndarray] | None:
+        """Log assignment as the start of iteration; None unless an earlier
+        iteration started from it. Then the earlier iteration that each of
+        iterations iteration..max_iters-1 repeats, and the assignment the
+        last of them hands on."""
+        key = np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
+        first = self._first.setdefault(key, iteration)
+        self._starts[iteration] = key
+        if first == iteration:
+            return None
+        period = iteration - first
+        phases = [first + (later - first) % period for later in range(iteration, max_iters + 1)]
+        return phases[:-1], np.frombuffer(self._starts[phases[-1]], dtype=np.int64).copy()

@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .divergence import SmoothingConfig, _kl_terms, kl_matrix, smooth
+from .divergence import PointTable, SmoothingConfig, _kl_terms, kl_matrix, smooth
 from .errors import ParameterError
 from .kmeans import kmeans_fit
 from .label_model import (
@@ -29,7 +29,7 @@ from .label_model import (
     require_int_array,
     require_real,
 )
-from .partition import Partition, repair_empty
+from .partition import CycleLog, Partition, repair_empty
 
 INIT_MODES = ("random", "kmeans")
 UPDATE_MODES = ("paper", "centroid")
@@ -237,18 +237,35 @@ def fit(
 
     Starts from init_partition, stops at the first assignment fixpoint or
     after max_iters. Empty subsets produced by an assignment step are
-    repaired before the next update. Each iteration evaluates the (U, M) KL
-    matrix of the U distinct point distributions once and reads from it
-    assign_step's proposal, the repair costs and the objective of the
-    repaired partition. Returns the fitted model, the final partition, and
-    the objective value recorded after each full iteration.
+    repaired before the next update. The (U, M) KL matrix of the U distinct
+    point distributions is kept across iterations, on one PointTable; each
+    iteration recomputes only the columns of the subsets whose distributions
+    changed, and reads from it assign_step's proposal, the repair costs and
+    the objective of the repaired partition. An iteration is a function of
+    the assignment it starts from, so once an assignment comes back the
+    recorded cycle is replayed up to max_iters (CycleLog): the trace, model
+    and partition are those that running every iteration gives. Returns the
+    fitted model, the final partition, and the objective value recorded
+    after each full iteration.
     """
     point_dists = estimate_all(dataset, config.knn)
     assignment = init_partition(dataset, config, point_dists).assignment
     distinct, inverse = _distinct_rows(point_dists)
+    table = PointTable.of(distinct)
+    kls = np.empty((distinct.shape[0], config.M))
+    # NaN rows differ from every distribution, so iteration 1 fills every column.
+    previous = np.full((config.M, dataset.num_classes), np.nan)
+    cycle = CycleLog()
     trace: list[float] = []
+    history: list[np.ndarray] = []
     converged = False
-    for _ in range(config.max_iters):
+    for iteration in range(config.max_iters):
+        replay = cycle.revisit(iteration, assignment, config.max_iters)
+        if replay is not None:
+            phases, assignment = replay
+            trace += [trace[phase] for phase in phases]
+            subset_dists = history[phases[-1]]
+            break
         subset_dists = update_subset_distributions(
             Partition(assignment, config.M),
             dataset.labels,
@@ -257,7 +274,10 @@ def fit(
             point_dists,
             config.smoothing,
         )
-        kls = kl_matrix(distinct, subset_dists)
+        changed = np.flatnonzero((subset_dists != previous).any(axis=1))
+        kls[:, changed] = table.kl(subset_dists[changed])
+        previous = subset_dists
+        history.append(subset_dists)
         proposed = np.argmin(kls, axis=1)[inverse]
         repaired = _repair_empty_subsets(proposed, config.M, lambda own: kls[inverse, own])
         trace.append(float(kls[inverse, repaired].sum()))

@@ -12,7 +12,8 @@ empty-subset repair equal, bit for bit, the per-point, per-subset and
 per-empty-subset formulas they replace. kl_matrix, which evaluates each KL
 term once per distinct (value, class) pair and subset, equals the sum over
 the full (N, M, C) broadcast of terms bit for bit, and raises exactly when
-that sum does.
+that sum does, and so does the PointTable step that fit applies to the
+subsets whose distributions changed.
 """
 
 import contextlib
@@ -40,7 +41,7 @@ from klvq import (
     update_subset_distributions,
 )
 from klvq import divergence, kmeans, label_model, quantizer
-from klvq.divergence import _kl_terms
+from klvq.divergence import PointTable, _kl_terms
 
 from oracles import oracle_assign, oracle_knn, oracle_nearest, oracle_repair
 
@@ -257,6 +258,29 @@ def test_kl_matrix_evaluates_one_term_per_distinct_pair_and_subset(num_classes, 
         patch.setattr(divergence, "_kl_terms", counting_terms)
         kl_matrix(P, Q)
     assert 0 < sum(asked) <= Q.shape[0] * len(pairs)
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 3, 5, 8, 16, 20])
+@settings(SETTINGS, max_examples=25)
+@given(data=st.data())
+def test_point_table_columns_equal_kl_matrix_columns_bit_for_bit(num_classes, data):
+    """fit builds one PointTable per fit and recomputes only the columns of
+    the subsets whose distributions changed: the step on any 1..M subset rows,
+    in any order, equals those columns of kl_matrix bit for bit, and raises
+    kl_matrix's DomainError exactly when one of the rows has an unsmoothed
+    zero where some point is positive."""
+    P, Q = data.draw(kl_matrix_cases(num_classes))
+    table = PointTable.of(P)
+    rows = data.draw(st.lists(st.integers(0, Q.shape[0] - 1), min_size=1, max_size=Q.shape[0], unique=True))
+    usable = [m for m in range(Q.shape[0]) if not np.any((P > 0.0) & (Q[m] == 0.0))]
+    if not set(rows) <= set(usable):
+        with pytest.raises(DomainError, match="unsmoothed zero in reference distribution"):
+            table.kl(Q[rows])
+        rows = [m for m in rows if m in usable]
+    want = kl_matrix(P, Q[usable])[:, [usable.index(m) for m in rows]]
+    got = table.kl(Q[rows])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @st.composite

@@ -312,6 +312,17 @@ def test_oversized_quoted_cell_names_the_line(tmp_path):
         load_bags(write(tmp_path / "manifest.csv", f"item_id,path,label\n{cell},item.csv,a\n").parent)
 
 
+@pytest.mark.parametrize("last", ["1.0", '"1.0"'], ids=["clean", "quoted"])
+def test_cell_over_the_field_limit_is_rejected_either_way(tmp_path, last):
+    """loadtxt has no field limit; a line longer than csv's goes to the
+    per-cell reader, so an otherwise clean file is rejected like one with
+    a quoted cell elsewhere."""
+    cell = "0." + "0" * 199_997 + "1"
+    path = write(tmp_path / "item.csv", f"f1\n{cell}\n{last}\n")
+    with pytest.raises(DatasetFormatError, match=r"item.csv: line 2: field larger than field limit"):
+        load_feature_matrix(path)
+
+
 # Good cells are read alike by loadtxt and float(). Odd cells are rejected by
 # one of them or both, or are quoted, and send the file to the per-cell loop.
 PADDING = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0", "\u2003"])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from klvq import KmeansModel, ParameterError, kmeans_assign, kmeans_fit
+from klvq import kmeans
 
-from oracles import oracle_nearest
+from oracles import oracle_nearest, oracle_repair
 
 TWO_CLUSTERS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -93,6 +94,55 @@ class TestKmeansFit:
     def test_non_finite_features_raise(self):
         with pytest.raises(ParameterError):
             kmeans_fit(np.array([[np.nan, 0.0]]), 1, seed=0)
+
+
+def reference_kmeans_fit(features, K, seed, max_iters):
+    """The Lloyd loop with every iteration computed: the centroids, the
+    inertia trace and the final assignment."""
+    X = np.asarray(features, dtype=np.float64)
+    centroids = X[np.random.default_rng(seed).choice(X.shape[0], size=K, replace=False)].copy()
+    rows = np.arange(X.shape[0])
+    assignment, trace = None, []
+    for _ in range(max_iters):
+        sq = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        proposed = np.argmin(sq, axis=1)
+        repaired = oracle_repair(proposed, K, sq[rows, proposed])
+        for m in range(K):
+            centroids[m] = X[repaired == m].mean(axis=0)
+        trace.append(float(((X - centroids[repaired]) ** 2).sum()))
+        if assignment is not None and np.array_equal(proposed, assignment):
+            break
+        assignment = repaired
+    return centroids, trace, assignment
+
+
+class TestKmeansReplay:
+    """105 rows on 7 distinct points: with K > 7 two centroids coincide, the
+    repair moves the same point every iteration, and the loop revisits its
+    assignment without reaching an assignment fixpoint."""
+
+    @pytest.mark.parametrize("K", [8, 12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replay_equals_the_full_loop(self, K, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(7, 2))[rng.permutation(np.arange(105) % 7)]
+        calls = []
+        real_nearest = kmeans._nearest
+
+        def counted(features, centroids):
+            calls.append(features.shape[0])
+            return real_nearest(features, centroids)
+
+        monkeypatch.setattr(kmeans, "_nearest", counted)
+        for max_iters in (*range(1, 6), 200):
+            centroids, trace, assignment = reference_kmeans_fit(points, K, seed, max_iters)
+            calls.clear()
+            model, part = kmeans_fit(points, K, seed=seed, max_iters=max_iters)
+            np.testing.assert_array_equal(model.centroids.view(np.uint64), centroids.view(np.uint64))
+            assert model.inertia_trace == tuple(trace)
+            np.testing.assert_array_equal(part.assignment, assignment)
+        assert model.iterations_run == 200
+        assert len(calls) < model.iterations_run
 
 
 class TestKmeansModelValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from klvq import (
     smooth,
     update_subset_distributions,
 )
-from klvq import quantizer
+from klvq.divergence import PointTable
 from klvq.quantizer import _repair_empty_subsets
 
 from oracles import oracle_assign, oracle_objective, oracle_repair
@@ -493,13 +494,16 @@ def duplicate_rows_dataset(seed):
 
 def reference_fit(dataset, config):
     """The fit loop one row at a time: the KL matrix of all N rows, the
-    oracle argmin as the proposal and the oracle repair. Returns the final
-    assignment, the trace, whether it converged and the points repaired."""
+    oracle argmin as the proposal and the oracle repair, every iteration
+    computed. Returns the final assignment, the trace, whether it converged,
+    the points repaired, the final subset distributions and the assignment
+    each iteration started from."""
     point_dists = estimate_all(dataset, config.knn)
     assignment = init_partition(dataset, config, point_dists).assignment
     rows = np.arange(dataset.n)
-    trace, repaired_points = [], 0
+    trace, repaired_points, starts = [], 0, []
     for _ in range(config.max_iters):
+        starts.append(assignment)
         subset_dists = update_subset_distributions(
             Partition(assignment, config.M), dataset.labels, dataset.num_classes,
             config.update_mode, point_dists, config.smoothing,
@@ -514,15 +518,47 @@ def reference_fit(dataset, config):
             rel=1e-12, abs=1e-12,
         )
         if np.array_equal(proposed, assignment):
-            return assignment, trace, True, repaired_points
+            return assignment, trace, True, repaired_points, subset_dists, starts
         assignment = repaired
-    return assignment, trace, False, repaired_points
+    return assignment, trace, False, repaired_points, subset_dists, starts
+
+
+def first_repeat(starts):
+    """(first, repeat): the first iteration that starts from the assignment of
+    an earlier one, and that earlier one; None if no assignment repeats."""
+    seen = {}
+    for iteration, assignment in enumerate(starts):
+        first = seen.setdefault(assignment.tobytes(), iteration)
+        if first != iteration:
+            return first, iteration
+    return None
+
+
+REFERENCE_CASES = [
+    # M, init, seed, update_mode, period of the first repeated assignment
+    (12, "random", 0, "paper", 1),
+    (12, "random", 0, "centroid", 1),
+    (16, "random", 1, "paper", 1),
+    (16, "random", 1, "centroid", 1),
+    (5, "kmeans", 2, "paper", None),
+    (5, "kmeans", 2, "centroid", None),
+    (8, "random", 2, "paper", 1),
+    (24, "random", 2, "centroid", 2),
+    (20, "kmeans", 6, "paper", 3),
+]
 
 
 class TestFitOnDistinctRows:
-    @pytest.mark.parametrize("update_mode", ["paper", "centroid"])
-    @pytest.mark.parametrize("M, init, seed", [(12, "random", 0), (16, "random", 1), (5, "kmeans", 2)])
-    def test_equals_per_row_reference_loop(self, update_mode, M, init, seed):
+    @pytest.mark.parametrize(
+        "M, init, seed, update_mode, period",
+        REFERENCE_CASES,
+        ids=["-".join(map(str, case[:4])) for case in REFERENCE_CASES],
+    )
+    def test_equals_per_row_reference_loop(self, M, init, seed, update_mode, period):
+        """fit, which replays a revisited assignment's cycle, equals the loop
+        that computes every iteration: for cycling cases at every max_iters
+        up to two periods past the first repeat, so that runs end before the
+        repeat, on the iteration that detects it and at each phase after."""
         dataset = duplicate_rows_dataset(seed)
         config = QuantizerConfig(
             M=M, knn=KnnConfig(k=3), smoothing=E6, max_iters=25, seed=seed,
@@ -530,34 +566,57 @@ class TestFitOnDistinctRows:
         )
         distinct = np.unique(estimate_all(dataset, config.knn), axis=0).shape[0]
         assert distinct <= dataset.n // 4
-        assignment, trace, converged, repaired_points = reference_fit(dataset, config)
+        *_, converged, repaired_points, _, starts = reference_fit(dataset, config)
         assert repaired_points > 0
-        model, part, got_trace = fit(dataset, config)
-        np.testing.assert_array_equal(part.assignment, assignment)
-        assert got_trace == trace
-        assert (model.iterations_run, model.converged) == (len(trace), converged)
+        repeat = first_repeat(starts)
+        if period is None:
+            assert repeat is None and converged
+            sweep = [config.max_iters]
+        else:
+            assert repeat is not None and repeat[1] - repeat[0] == period and not converged
+            sweep = [*range(1, repeat[1] + 2 * period + 2), config.max_iters]
+        for max_iters in sweep:
+            short = dataclasses.replace(config, max_iters=max_iters)
+            assignment, trace, converged, _, subset_dists, _ = reference_fit(dataset, short)
+            model, part, got_trace = fit(dataset, short)
+            np.testing.assert_array_equal(part.assignment, assignment)
+            np.testing.assert_array_equal(model.subset_dists.view(np.uint64), subset_dists.view(np.uint64))
+            assert got_trace == trace
+            assert (model.iterations_run, model.converged) == (len(trace), converged)
 
     def test_kl_work_is_one_row_per_distinct_distribution(self, monkeypatch):
+        """fit builds one point table of the U distinct rows and computes KL
+        columns on it once per iteration up to the first repeated assignment,
+        only for the subsets whose distributions changed; codes computes
+        the KL of each distinct query distribution once."""
         dataset = duplicate_rows_dataset(3)
         config = QuantizerConfig(M=8, knn=KnnConfig(k=3), smoothing=E6, max_iters=10, seed=3)
-        rows = []
-        real_kl_matrix = quantizer.kl_matrix
+        _, repeat = first_repeat(reference_fit(dataset, config)[-1])
+        tables, columns = [], []
+        real_of, real_kl = PointTable.of.__func__, PointTable.kl
 
-        def counted(point_dists, subset_dists):
-            rows.append(np.shape(point_dists)[0])
-            return real_kl_matrix(point_dists, subset_dists)
+        def counted_of(cls, point_dists):
+            tables.append(np.shape(point_dists)[0])
+            return real_of(cls, point_dists)
 
-        monkeypatch.setattr(quantizer, "kl_matrix", counted)
+        def counted_kl(table, subset_dists):
+            columns.append((table.pair_index.shape[0], np.shape(subset_dists)[0]))
+            return real_kl(table, subset_dists)
+
+        monkeypatch.setattr(PointTable, "of", classmethod(counted_of))
+        monkeypatch.setattr(PointTable, "kl", counted_kl)
         model, _, trace = fit(dataset, config)
         distinct = np.unique(estimate_all(dataset, config.knn), axis=0).shape[0]
-        assert distinct < dataset.n
-        assert rows == [distinct] * len(trace)
+        assert distinct < dataset.n and repeat < len(trace)
+        assert tables == [distinct]
+        assert [rows for rows, _ in columns] == [distinct] * repeat
+        assert columns[0][1] == config.M and sum(m for _, m in columns) < config.M * repeat
 
-        rows.clear()
+        tables.clear()
         queries = np.vstack([dataset.features, dataset.features + 0.25])
         codes = model.codes(queries)
         query_dists = label_distributions(dataset, queries, config.knn)
-        assert rows == [np.unique(query_dists, axis=0).shape[0]]
+        assert tables == [np.unique(query_dists, axis=0).shape[0]]
         assert codes.tolist() == oracle_assign(query_dists.tolist(), model.subset_dists.tolist())
 
 
