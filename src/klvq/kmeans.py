@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .label_model import BLOCK_CELLS, as_queries, real_matrix, require_int, require_real
-from .partition import CycleLog, Partition, repair_empty
+from .partition import Partition, alternate, repair_empty
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def kmeans_fit(
     model as inertia_trace. From the second iteration on, an iteration is a
     function of the repaired assignment the previous one left, so once such
     an assignment comes back the recorded cycle is replayed up to max_iters
-    (CycleLog) and the final centroids are recomputed from the assignment
-    the replay ends on: trace, centroids and partition are those that
+    (partition.alternate): trace, centroids and partition are those that
     running every iteration gives.
     """
     X = real_matrix(features, "features")
@@ -107,25 +106,17 @@ def kmeans_fit(
 
     rng = np.random.default_rng(seed)
     centroids = X[rng.choice(n, size=K, replace=False)].copy()
-    assignment: np.ndarray | None = None
-    cycle = CycleLog()
-    trace: list[float] = []
-    for iteration in range(max_iters):
-        # From iteration 1 on, an iteration starts from the previous repaired assignment.
-        replay = None if assignment is None else cycle.revisit(iteration, assignment, max_iters)
-        if replay is not None:
-            phases, assignment = replay
-            trace += [trace[phase] for phase in phases]
-            _update_centroids(X, assignment, centroids)
-            break
+
+    def step(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, np.ndarray]]:
         proposed, sq = _nearest(X, centroids)
         repaired = repair_empty(proposed, K, lambda own: sq[np.arange(own.shape[0]), own])
         _update_centroids(X, repaired, centroids)
-        trace.append(float(((X - centroids[repaired]) ** 2).sum()))
-        if assignment is not None and np.array_equal(proposed, assignment):
-            break
-        assignment = repaired
-    return KmeansModel(centroids=centroids, inertia_trace=tuple(trace)), Partition(assignment, K)
+        return proposed, repaired, (float(((X - centroids[repaired]) ** 2).sum()), centroids.copy())
+
+    # The all -1 start stands for the Forgy iteration; no proposal equals it.
+    records, assignment, _ = alternate(np.full(n, -1, dtype=np.int64), step, max_iters)
+    trace = tuple(inertia for inertia, _ in records)
+    return KmeansModel(centroids=records[-1][1], inertia_trace=trace), Partition(assignment, K)
 
 
 def kmeans_assign(model: KmeansModel, query: Sequence[float] | np.ndarray) -> int:

@@ -1,18 +1,20 @@
 """Partitions of N points into M subsets, and what the KL quantizer and the
 k-means baseline share about them: the empty-subset repair rule, where they
 differ only in the cost of a point in its own subset (KL to its
-distribution, squared distance to its centroid), and the CycleLog with which
-both fit loops replay a revisited assignment's cycle."""
+distribution, squared distance to its centroid), and alternate, the loop
+both fits run, which replays the cycle of a revisited assignment."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 from .label_model import require_int, require_int_array
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -74,31 +76,41 @@ def repair_empty(
     return assignment
 
 
-class CycleLog:
-    """The assignments that the iterations of a fit loop start from.
+def alternate(
+    start: np.ndarray,
+    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, T]],
+    max_iters: int,
+) -> tuple[list[T], np.ndarray, bool]:
+    """The fit loop both quantizers run: (records, assignment, converged).
 
-    Both fit loops are deterministic: what an iteration records and the
-    assignment it hands on are functions of the assignment it starts from.
-    So once iteration r starts from the assignment of an earlier iteration
-    f, the loop is periodic from f on with period r - f, and every later
-    iteration repeats the one at the same phase of the cycle. Each
-    assignment is keyed once, by its int64 bytes.
+    Each iteration calls step(assignment) on the assignment it starts from,
+    which returns a proposed assignment, the repaired assignment the next
+    iteration starts from, and the iteration's record. The loop stops when
+    a proposal equals the assignment its iteration started from (converged),
+    or after max_iters iterations.
+
+    step is deterministic, so what an iteration records and hands on are
+    functions of the assignment it starts from. Once iteration r starts from
+    the assignment of an earlier iteration f, the loop is periodic from f on
+    with period r - f: the recorded cycle is replayed up to max_iters and
+    step is not called again. Records, assignment and converged are those
+    that running every iteration gives. Each starting assignment is keyed
+    once, by its int64 bytes.
     """
-
-    def __init__(self) -> None:
-        self._first: dict[bytes, int] = {}
-        self._starts: dict[int, bytes] = {}
-
-    def revisit(self, iteration: int, assignment: np.ndarray, max_iters: int) -> tuple[list[int], np.ndarray] | None:
-        """Log assignment as the start of iteration; None unless an earlier
-        iteration started from it. Then the earlier iteration that each of
-        iterations iteration..max_iters-1 repeats, and the assignment the
-        last of them hands on."""
-        key = np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
-        first = self._first.setdefault(key, iteration)
-        self._starts[iteration] = key
-        if first == iteration:
-            return None
-        period = iteration - first
-        phases = [first + (later - first) % period for later in range(iteration, max_iters + 1)]
-        return phases[:-1], np.frombuffer(self._starts[phases[-1]], dtype=np.int64).copy()
+    records: list[T] = []
+    first: dict[bytes, int] = {}
+    starts: list[np.ndarray] = []
+    assignment = start
+    for iteration in range(max_iters):
+        seen = first.setdefault(np.ascontiguousarray(assignment, dtype=np.int64).tobytes(), iteration)
+        if seen != iteration:
+            phases = [seen + (later - seen) % (iteration - seen) for later in range(iteration, max_iters + 1)]
+            records += [records[phase] for phase in phases[:-1]]
+            return records, starts[phases[-1]], False
+        starts.append(assignment)
+        proposed, repaired, record = step(assignment)
+        records.append(record)
+        if np.array_equal(proposed, assignment):
+            return records, assignment, True
+        assignment = repaired
+    return records, assignment, False

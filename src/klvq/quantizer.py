@@ -29,7 +29,7 @@ from .label_model import (
     require_int_array,
     require_real,
 )
-from .partition import CycleLog, Partition, repair_empty
+from .partition import Partition, alternate, repair_empty
 
 INIT_MODES = ("random", "kmeans")
 UPDATE_MODES = ("paper", "centroid")
@@ -243,29 +243,21 @@ def fit(
     changed, and reads from it assign_step's proposal, the repair costs and
     the objective of the repaired partition. An iteration is a function of
     the assignment it starts from, so once an assignment comes back the
-    recorded cycle is replayed up to max_iters (CycleLog): the trace, model
-    and partition are those that running every iteration gives. Returns the
-    fitted model, the final partition, and the objective value recorded
-    after each full iteration.
+    recorded cycle is replayed up to max_iters (partition.alternate): the
+    trace, model and partition are those that running every iteration
+    gives. Returns the fitted model, the final partition, and the objective
+    value recorded after each full iteration.
     """
     point_dists = estimate_all(dataset, config.knn)
-    assignment = init_partition(dataset, config, point_dists).assignment
+    start = init_partition(dataset, config, point_dists).assignment
     distinct, inverse = _distinct_rows(point_dists)
     table = PointTable.of(distinct)
     kls = np.empty((distinct.shape[0], config.M))
     # NaN rows differ from every distribution, so iteration 1 fills every column.
     previous = np.full((config.M, dataset.num_classes), np.nan)
-    cycle = CycleLog()
-    trace: list[float] = []
-    history: list[np.ndarray] = []
-    converged = False
-    for iteration in range(config.max_iters):
-        replay = cycle.revisit(iteration, assignment, config.max_iters)
-        if replay is not None:
-            phases, assignment = replay
-            trace += [trace[phase] for phase in phases]
-            subset_dists = history[phases[-1]]
-            break
+
+    def step(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, np.ndarray]]:
+        nonlocal previous
         subset_dists = update_subset_distributions(
             Partition(assignment, config.M),
             dataset.labels,
@@ -277,16 +269,14 @@ def fit(
         changed = np.flatnonzero((subset_dists != previous).any(axis=1))
         kls[:, changed] = table.kl(subset_dists[changed])
         previous = subset_dists
-        history.append(subset_dists)
         proposed = np.argmin(kls, axis=1)[inverse]
         repaired = _repair_empty_subsets(proposed, config.M, lambda own: kls[inverse, own])
-        trace.append(float(kls[inverse, repaired].sum()))
-        if np.array_equal(proposed, assignment):
-            converged = True
-            break
-        assignment = repaired
+        return proposed, repaired, (float(kls[inverse, repaired].sum()), subset_dists)
+
+    records, assignment, converged = alternate(start, step, config.max_iters)
+    trace = [objective for objective, _ in records]
     model = QuantizerModel(
-        subset_dists=subset_dists,
+        subset_dists=records[-1][1],
         config=config,
         training_set=dataset,
         final_objective=trace[-1],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -544,18 +545,23 @@ class TestExitCodes:
 
     def test_exit_codes_from_a_real_process(self, dataset_csv, tmp_path):
         base = [sys.executable, "-m", "klvq"]
-        usage = subprocess.run(base + ["fit", "--bogus"], capture_output=True)
+        # The child imports klvq from this process's import path, so the test
+        # runs the same with or without PYTHONPATH set.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        usage = subprocess.run(base + ["fit", "--bogus"], capture_output=True, env=env)
         assert usage.returncode == 2
         ok = subprocess.run(
             base + ["fit", "--input", str(dataset_csv), "--subsets", "1",
                     "--output", str(tmp_path / "m.json")],
             capture_output=True,
+            env=env,
         )
         assert ok.returncode == 0
         bad = subprocess.run(
             base + ["fit", "--input", str(tmp_path / "none.csv"), "--subsets", "1",
                     "--output", str(tmp_path / "m.json")],
             capture_output=True,
+            env=env,
         )
         assert bad.returncode == 1
         assert b"not found" in bad.stderr
