@@ -51,8 +51,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_kmeans_fit(args: argparse.Namespace) -> int:
-    dataset = fileio.load_dataset(args.input)
-    model, _ = kmeans_fit(dataset.features, args.clusters, args.seed, args.max_iters)
+    features = fileio.load_feature_matrix(args.input)
+    model, _ = kmeans_fit(features, args.clusters, args.seed, args.max_iters)
     fileio.save_model(model, args.output)
     print(f"iterations: {model.iterations_run}")
     print(f"inertia: {_fmt(model.inertia)}")
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.set_defaults(func=_cmd_fit)
 
     kmeans_cmd = commands.add_parser("kmeans-fit", help="fit the k-means baseline quantizer")
-    kmeans_cmd.add_argument("--input", required=True, help="dataset CSV (label column ignored)")
+    kmeans_cmd.add_argument("--input", required=True, help="feature CSV; label column optional")
     kmeans_cmd.add_argument("--clusters", required=True, type=int, help="number of clusters K")
     kmeans_cmd.add_argument("--seed", type=int, default=0)
     kmeans_cmd.add_argument("--max-iters", type=int, default=100)

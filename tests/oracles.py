@@ -86,6 +86,13 @@ def oracle_nearest(centroids, query):
     return best[1]
 
 
+def oracle_broadcast_nearest(features, centroids):
+    """Nearest centroid of every row from the full (n, K, d) array of squared
+    differences, summed along d, lowest index on ties: the direct numpy form
+    whose bits the k-means assignment must reproduce."""
+    return np.argmin(((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
 def oracle_read_table(path, label, rows_name="data"):
     """The feature-table reader as one csv.reader pass and a float() call per
     cell: the (N, d) matrix and the N label cells, or DatasetFormatError

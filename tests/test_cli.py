@@ -106,6 +106,20 @@ class TestKmeansFitCommand:
         inertias = [float(line.split(",")[1]) for line in lines[3:]]
         assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
+    def test_label_column_is_optional(self, dataset_csv, tmp_path, capsys):
+        unlabeled = tmp_path / "unlabeled.csv"
+        lines = dataset_csv.read_text(encoding="utf-8").splitlines()
+        unlabeled.write_text("".join(line.rpartition(",")[0] + "\n" for line in lines), encoding="utf-8")
+        results = []
+        for name, data in (("labeled", dataset_csv), ("unlabeled", unlabeled)):
+            model_path = tmp_path / f"{name}.json"
+            code, out, err = run(
+                capsys, "kmeans-fit", "--input", data, "--clusters", 3, "--seed", 4, "--output", model_path,
+            )
+            assert (code, err) == (0, "")
+            results.append((out, model_path.read_bytes()))
+        assert results[0] == results[1]
+
     def test_negative_seed_exits_one(self, dataset_csv, tmp_path, capsys):
         code, out, err = run(
             capsys, "kmeans-fit", "--input", dataset_csv, "--clusters", 3, "--seed", -1,

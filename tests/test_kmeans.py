@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from klvq import KmeansModel, ParameterError, kmeans_assign, kmeans_fit
 from klvq import kmeans
 
-from oracles import oracle_nearest, oracle_repair
+from oracles import oracle_broadcast_nearest, oracle_nearest, oracle_repair
 
 TWO_CLUSTERS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -149,6 +151,106 @@ class TestKmeansReplay:
             np.testing.assert_array_equal(part.assignment, assignment)
             assert len(calls) == min(max_iters, repeat)
         assert model.iterations_run == 200
+
+
+def tied_grid(rng, n, K, d):
+    """Integer rows and centroids with exact distance ties: one centroid
+    duplicated, half of the rows at midpoints between two centroids and a
+    quarter on centroids."""
+    centroids = rng.integers(-3, 4, size=(K, d)).astype(np.float64)
+    centroids[rng.integers(K)] = centroids[rng.integers(K)]
+    features = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    pairs = rng.integers(K, size=(2, n))
+    features[: n // 2] = (centroids[pairs[0, : n // 2]] + centroids[pairs[1, : n // 2]]) / 2
+    features[n // 2 : 3 * n // 4] = centroids[pairs[0, n // 2 : 3 * n // 4]]
+    return features, centroids
+
+
+def near_centroids(rng, n, K, d):
+    """Rows a relative 1e-12 away from Gaussian centroids, so that the
+    screen settles nearly every row."""
+    centroids = rng.normal(size=(K, d))
+    return centroids[rng.integers(K, size=n)] * (1 + 1e-12 * rng.normal(size=(n, d))), centroids
+
+
+def gaussian(rng, n, K, d):
+    return rng.normal(size=(n, d)), rng.normal(size=(K, d))
+
+
+def assert_nearest_is_the_broadcast(features, centroids):
+    """_nearest gives the broadcast's codes and the same warning messages."""
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = oracle_broadcast_nearest(features, centroids)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = kmeans._nearest(features, centroids)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert {str(w.message) for w in got_warnings} == {str(w.message) for w in want_warnings}
+
+
+class TestNearestScreen:
+    """The GEMM screen of _nearest settles only rows its error bound
+    certifies; every code must equal the broadcast form bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_tied_integer_grids(self, d):
+        rng = np.random.default_rng(d)
+        for K in range(1, 41):
+            assert_nearest_is_the_broadcast(*tied_grid(rng, 24, K, d))
+
+    @pytest.mark.parametrize("make", [tied_grid, near_centroids, gaussian])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e150, 1e155, 1e200, 1e300])
+    def test_extreme_magnitudes(self, make, scale):
+        # Squares underflow below 1e-154 and overflow above 1e154.
+        rng = np.random.default_rng(int(np.log10(scale)) + 200)
+        for trial in range(120):
+            features, centroids = make(rng, int(rng.integers(1, 40)), 1 + trial % 40, int(rng.integers(1, 21)))
+            assert_nearest_is_the_broadcast(features * scale, centroids * scale)
+
+    @pytest.mark.parametrize(
+        "centroids", [[[1e200, 0.0]], [[3e154, 3e154]], [[0.0, 0.0], [1e300, 1.0]]], ids=["far", "edge", "one-far"]
+    )
+    def test_overflowing_rows_warn_as_the_broadcast_does(self, centroids):
+        # Small rows, a centroid whose squared distance overflows: the rows
+        # must be summed the exact way, which warns.
+        assert_nearest_is_the_broadcast(np.array([[0.0, 1.0], [2.0, -1.0]]), np.array(centroids))
+
+    def test_rows_of_mixed_magnitudes_in_small_blocks(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        monkeypatch.setattr(kmeans, "BLOCK_CELLS", 50)
+        for K, d in [(1, 3), (7, 2), (12, 9), (40, 20)]:
+            grid, centroids = tied_grid(rng, 60, K, d)
+            features = np.vstack([grid, rng.normal(size=(30, d)) * 1e-160, rng.normal(size=(30, d))])
+            model = KmeansModel(centroids=centroids, inertia_trace=(0.0,))
+            np.testing.assert_array_equal(model.codes(features), oracle_broadcast_nearest(features, centroids))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repair_heavy_fits_equal_the_reference(self, seed):
+        # Fewer distinct rows than clusters: centroids coincide and the
+        # repair refills empty clusters in every iteration.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 10))
+        distinct = rng.integers(-2, 3, size=(int(rng.integers(2, 7)), d)).astype(np.float64)
+        points = distinct[rng.integers(distinct.shape[0], size=int(rng.integers(20, 90)))]
+        K = int(rng.integers(distinct.shape[0] + 1, min(points.shape[0], 16) + 1))
+        centroids, trace, assignment, _ = reference_kmeans_fit(points, K, seed, 40)
+        model, part = kmeans_fit(points, K, seed=seed, max_iters=40)
+        np.testing.assert_array_equal(model.centroids.view(np.uint64), centroids.view(np.uint64))
+        assert model.inertia_trace == tuple(trace)
+        np.testing.assert_array_equal(part.assignment, assignment)
+
+    def test_builds_no_rows_by_centroids_by_dimension_temporary(self):
+        rng = np.random.default_rng(0)
+        features, centroids = rng.normal(size=(4000, 16)), rng.normal(size=(16, 16))
+        tracemalloc.start()
+        try:
+            kmeans._nearest(features, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < features.shape[0] * centroids.size * 8 / 2
 
 
 class TestKmeansModelValidation:
