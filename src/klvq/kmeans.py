@@ -12,7 +12,7 @@ only when every other centroid lies beyond the bound, so the direct sums
 would rank that centroid strictly first; every other row (ties, near ties,
 magnitudes that underflow or overflow) is summed directly. Codes, and so
 centroids, traces and partitions, equal those of the direct (n, K, d)
-computation bit for bit; _nearest gives the full argument.
+computation bit for bit; label_model.screen_bound gives the full argument.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .label_model import BLOCK_CELLS, as_queries, real_matrix, require_int, require_real
+from .label_model import BLOCK_CELLS, as_queries, real_matrix, require_int, require_real, screen_bound
 from .partition import Partition, alternate, repair_empty
 
 
@@ -76,14 +76,6 @@ class KmeansModel:
         return out
 
 
-# Unit roundoff of float64, and the smallest normal float64: results below it
-# may lose their relative accuracy (or be flushed to zero).
-_UNIT = 2.0**-53
-_TINY = 2.0**-1022
-# The screen settles only rows within this radius, far from overflow.
-_MAX_RADIUS = 2.0**508
-
-
 def _nearest(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the nearest centroid to each row, as an (n,) int64 array:
     squared Euclidean distance computed as ((x - c) ** 2).sum(axis=-1),
@@ -91,33 +83,17 @@ def _nearest(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     The rows are screened first. With G_m = |c_m|^2 - 2 x.c_m, which one
     matrix product gives, a row settles on code m* = argmin G when every
-    other G_m exceeds G_m* + B, where, for R = |x| + max_m |c_m| and
-    gamma_j = j u / (1 - j u),
+    other G_m exceeds G_m* + B, for the rounding bound B of screen_bound
+    (R = |x| + max_m |c_m|). Every other row, and every row screen_bound
+    does not certify (R > 2^508 or not finite), takes the argmin of the exact
+    sums, in blocks of at most BLOCK_CELLS // (K d) rows.
 
-        B = 8 gamma_(d+4) R^2 + 32 (d + 1) tiny.
-
-    Every other row, and every row with R > 2^508 or R not finite, takes the
-    argmin of the exact sums, in blocks of at most BLOCK_CELLS // (K d) rows.
-
-    Why a settled code is exact: let D_m be the computed exact sum and
-    delta_m = |x - c_m|^2 <= R^2. Subtraction, squaring and the summation of
-    d terms >= 0 in any order give |D_m - delta_m| <= gamma_(d+2) delta_m
-    (Higham 2002, ch. 3); the sum of squares, the dot product in any order
-    (blocked or fused, as a BLAS may do) and the subtraction give
-    |G_m - (delta_m - |x|^2)| <= gamma_(d+1) R^2. So D_m - D_m* exceeds
-    G_m - G_m* - 4 gamma_(d+2) R^2. The rounding of R, B and G_m* + B is
-    covered by the factor 8 and by d+4 in place of d+2. An operation whose
-    result lies below the smallest normal number, tiny, may err by up to
-    tiny instead, even flushed to zero; such errors add up to less than
-    (9d + 1) tiny in one D_m and G_m, so the absolute term covers two
-    entries. Hence D_m > D_m* for every m != m*, and m* is the exact
-    argmin: a tie, or a gap within the bound, leaves more than one
-    candidate and goes to the exact sums, with their lowest-index rule. R <= 2^508 keeps every |c|^2,
-    x.c and G far from overflow, while a squared difference or D_m
-    overflows only if R > 2^512, so every row that overflows in the exact
-    sums is summed that way and warns as it always has.
+    Why a settled code is exact: by screen_bound, G_m > G_m* + B makes
+    D_m > D_m* in the exact sums for every m != m*, so m* is the exact
+    argmin. A tie, or a gap within the bound, leaves more than one candidate
+    and goes to the exact sums, with their lowest-index rule; so does every
+    row that could overflow, which therefore warns as it always has.
     """
-    d = features.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         # (K, n): the reductions over centroids run along whole rows.
         c_sq = np.einsum("md,md->m", centroids, centroids)
@@ -125,13 +101,12 @@ def _nearest(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         screen *= -2.0
         screen += c_sq[:, None]
         radius = np.sqrt(np.einsum("nd,nd->n", features, features)) + np.sqrt(c_sq.max())
-        nu = (d + 4) * _UNIT
-        bound = 8.0 * nu / (1.0 - nu) * radius**2 + 32 * (d + 1) * _TINY
+        bound, certified = screen_bound(features.shape[1], radius)
         candidates = screen <= screen.min(axis=0) + bound
     # A row with one candidate takes it; it is the minimum of the row.
     codes = np.argmax(candidates, axis=0)
     single = np.count_nonzero(candidates, axis=0) == 1
-    redo = np.flatnonzero(~(single & (radius <= _MAX_RADIUS)))
+    redo = np.flatnonzero(~(single & certified))
     step = max(1, BLOCK_CELLS // centroids.size)
     for start in range(0, redo.shape[0], step):
         rows = redo[start : start + step]

@@ -2,12 +2,16 @@
 
 Neighbor search is exact (squared Euclidean distance, ties to the lower
 row index), which keeps results deterministic and oracle-checkable.
-knn_indices searches every training row. label_distributions splits the
+knn_indices and label_distributions run the same search. It splits the
 training rows into k-d leaves and the queries into groups of nearby
 queries, and for each group skips the leaves whose box-to-box gap exceeds a
 bound on its queries' kth distances. The gap is summed in the order of the
 distances and rounding is monotone, so a skipped row can neither beat nor
-tie a kth neighbor: the result equals brute force bit for bit.
+tie a kth neighbor. A group that can skip no leaf (high d) is screened
+instead: one matrix product gives |y|^2 - 2 q.y for every row, and only the
+rows within twice a certified rounding bound (screen_bound) of a query's
+kth screened value are searched. Either way the result equals brute force
+bit for bit.
 """
 
 from __future__ import annotations
@@ -135,6 +139,51 @@ BLOCK_CELLS = 1 << 17
 LEAF_SIZE = 32
 GROUP_SIZE = 32
 
+# Unit roundoff of float64, and the smallest normal float64: results below it
+# may lose their relative accuracy (or be flushed to zero).
+_UNIT = 2.0**-53
+_TINY = 2.0**-1022
+# A screen is certified only for radii up to this, far from overflow.
+_MAX_RADIUS = 2.0**508
+
+
+def screen_bound(d: int, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, certified) for screening squared distances in d dimensions by one
+    matrix product, for queries whose radius R is given.
+
+    For a query x and rows y_m (centroids, or training rows), the screen
+    value G_m = |y_m|^2 - 2 x.y_m comes from one matrix product, and the
+    direct distance D_m sums (x_j - y_mj)^2 over the d coordinates (in index
+    order, pairwise, or any other order). With R = |x| + max_m |y_m| and
+    gamma_j = j u / (1 - j u),
+
+        B = 8 gamma_(d+4) R^2 + 32 (d + 1) tiny,
+
+    and certified is R <= 2^508 (false when R is not finite). For a
+    certified query and any two rows m and m', the direct distances differ
+    by more than G_m - G_m' - B: a row whose G exceeds another's by more
+    than B is strictly farther in the direct sums too.
+
+    Why: let delta_m = |x - y_m|^2 <= R^2. Subtraction, squaring and the
+    summation of d terms >= 0 in any order give |D_m - delta_m| <=
+    gamma_(d+2) delta_m (Higham 2002, ch. 3); the sum of squares, the dot
+    product in any order (blocked or fused, as a BLAS may do) and the
+    subtraction give |G_m - (delta_m - |x|^2)| <= gamma_(d+1) R^2. So
+    D_m - D_m' exceeds G_m - G_m' - 4 gamma_(d+2) R^2. The rounding of R, of
+    B and of adding a small multiple of B to a screen value is covered by the
+    factor 8 and by d+4 in place of d+2. An operation whose result lies
+    below the smallest normal number, tiny, may err by up to tiny instead,
+    even flushed to zero; such errors add up to less than (9d + 1) tiny in
+    one D_m and G_m, so the absolute term covers two entries. R <= 2^508
+    keeps every |y|^2, x.y and G far from overflow, while a squared
+    difference or D_m overflows only if R > 2^512, so a caller that sums
+    every uncertified query directly warns as the direct sums always have.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = (d + 4) * _UNIT
+        bound = 8.0 * nu / (1.0 - nu) * radius**2 + 32 * (d + 1) * _TINY
+    return bound, radius <= _MAX_RADIUS
+
 
 def _smallest_k(dists: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest entries, ordered by (value, index) ascending."""
@@ -189,27 +238,6 @@ def _leave_out_rows(
     if config.k > available:
         raise ParameterError(f"k={config.k} exceeds the {available} available neighbor candidates")
     return leave_out
-
-
-def knn_indices(
-    dataset: LabeledDataset,
-    query: Sequence[float] | np.ndarray,
-    config: KnnConfig,
-    exclude_index: Optional[int] = None,
-) -> np.ndarray:
-    """Row indices of the k nearest dataset rows to query.
-
-    Nearness is squared Euclidean distance; ties go to the lower row index
-    and the result is sorted by (distance, index) ascending. exclude_index
-    removes one row from the candidate set and is honored only when
-    config.include_self is false (its intended use is leave-self-out queries).
-    """
-    q = as_queries([query], dataset.dim)
-    leave_out = _leave_out_rows(dataset, config, None if exclude_index is None else [exclude_index])
-    dists = _sq_dists(dataset.features.T, q)[0]
-    if leave_out is not None:
-        dists[leave_out[0]] = np.inf
-    return _smallest_k(dists, config.k)
 
 
 def _kd_leaves(points: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -295,36 +323,139 @@ def _group_bounds(
     return np.partition(dists, k - 1, axis=2)[:, :, k - 1].max(axis=1)
 
 
-def _count_labels(
-    dataset: LabeledDataset,
+def _k_nearest(
     columns: np.ndarray,
     queries: np.ndarray,
     rows: Optional[np.ndarray],
     leave_out: Optional[np.ndarray],
     k: int,
 ) -> np.ndarray:
-    """(B, C) label counts of each query's k nearest candidates, ties to the
-    lower row index. The candidates are the rows given in ascending order,
-    or all rows, with no gather, when rows is None; columns holds every
-    row as (d, N). leave_out, when given, holds one row per query to pass
-    over."""
+    """(B, k) row indices of each query's k nearest candidates, ties to the
+    lower row index, in no particular order. The candidates are the rows
+    given in ascending order, or all rows, with no gather, when rows is
+    None; columns holds every row as (d, N). leave_out, when given, holds
+    one row per query to pass over."""
     dists = _sq_dists(columns if rows is None else columns[:, rows], queries)
     b = np.arange(dists.shape[0])
     if leave_out is not None:
         if rows is None:
-            dists[b, leave_out] = np.inf
+            skipped = (b, leave_out)
         else:
             at = np.minimum(np.searchsorted(rows, leave_out), rows.shape[0] - 1)
             hit = rows[at] == leave_out
-            dists[b[hit], at[hit]] = np.inf
+            skipped = (b[hit], at[hit])
+        dists[skipped] = np.inf
     nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
     kth = dists[b, nearest[:, k - 1]]
     ambiguous = np.count_nonzero(dists <= kth[:, None], axis=1) > k
+    if leave_out is not None:
+        # A left-out row at inf ties a kth distance that overflowed to inf,
+        # which makes its query ambiguous; NaN is neither below nor equal
+        # to any kth distance, so the exact rule passes over it.
+        dists[skipped] = np.nan
     for row in np.flatnonzero(ambiguous):
         nearest[row] = _smallest_k(dists[row], k)
-    C = dataset.num_classes
-    flat = (b[:, None] * C + dataset.labels[nearest if rows is None else rows[nearest]]).ravel()
-    return np.bincount(flat, minlength=dists.shape[0] * C).reshape(-1, C)
+    return nearest if rows is None else rows[nearest]
+
+
+def _screened_rows(
+    columns: np.ndarray,
+    sq_norms: np.ndarray,
+    queries: np.ndarray,
+    bound: np.ndarray,
+    leave_out: Optional[np.ndarray],
+    k: int,
+) -> np.ndarray:
+    """The rows, ascending, whose screen value |y|^2 - 2 q.y lies within 2B
+    of the kth smallest for some query q: a superset of each query's rows
+    within its kth distance, ties included.
+
+    columns holds every row y as (d, N), sq_norms their |y|^2 and bound the
+    certified B of screen_bound for each query. Left-out rows count as
+    infinitely far.
+
+    Why every row i that ties or beats the kth distance D* (among the rows
+    besides a left-out one) is kept: of k rows whose screen values are at
+    most the kth smallest, none left out, at least one, j, has a direct
+    distance D_j >= D*, or k rows would lie below D*. As D_i <= D* <= D_j,
+    screen_bound gives G_i < G_j + B <= kth + B, and the second B covers the
+    rounding of kth + 2B. The exact search over the kept rows then meets the
+    same distances and the same ties as over all rows.
+    """
+    screen = queries @ columns
+    screen *= -2.0
+    screen += sq_norms
+    if leave_out is not None:
+        screen[np.arange(queries.shape[0]), leave_out] = np.inf
+    kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+    return np.flatnonzero((screen <= (kth + 2.0 * bound)[:, None]).any(axis=0))
+
+
+def _neighbors(
+    dataset: LabeledDataset,
+    queries: Sequence[Sequence[float]] | np.ndarray,
+    config: KnnConfig,
+    leave_out: Optional[Sequence[int] | np.ndarray],
+) -> np.ndarray:
+    """(n, k) row indices of each query's k nearest dataset rows, ties to
+    the lower row index, in no particular order; see label_distributions
+    for the search."""
+    q = as_queries(queries, dataset.dim)
+    leave_out = _leave_out_rows(dataset, config, leave_out)
+    if leave_out is not None and leave_out.shape != (q.shape[0],):
+        raise ParameterError(f"leave_out must hold one row index per query, got shape {leave_out.shape}")
+    k, n = config.k, dataset.n
+    columns = np.ascontiguousarray(dataset.features.T)
+    order, starts, lo, hi = _kd_leaves(dataset.features, LEAF_SIZE)
+    sizes = np.diff(starts, append=n)
+    leaf_of_row = np.empty(n, dtype=np.int64)
+    leaf_of_row[order] = np.repeat(np.arange(starts.shape[0]), sizes)
+    q_order, q_starts, q_lo, q_hi = _kd_leaves(q, max(1, min(GROUP_SIZE, BLOCK_CELLS // n)))
+    q_sizes = np.diff(q_starts, append=q.shape[0])
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("nd,nd->n", dataset.features, dataset.features)
+        radius = np.sqrt(np.einsum("nd,nd->n", q, q)) + np.sqrt(sq_norms.max())
+    screen_bounds, certified = screen_bound(dataset.dim, radius)
+    # Chunks of groups keep the gaps and the bounds' distances within BLOCK_CELLS.
+    chunk = max(1, BLOCK_CELLS // (q_sizes.max() * max(starts.shape[0], k + 1 + sizes.max())))
+    out = np.empty((q.shape[0], k), dtype=np.int64)
+    for first in range(0, q_starts.shape[0], chunk):
+        part = slice(first, first + chunk)
+        gaps = _box_gaps(q_lo[part], q_hi[part], lo, hi)
+        width = np.arange(q_sizes[part].max())
+        members = q_order[q_starts[part, None] + np.minimum(width, q_sizes[part, None] - 1)]
+        bound = _group_bounds(columns, q, members, gaps, (order, starts, sizes), k, leave_out)
+        for g, keep in enumerate(gaps <= bound[:, None], start=first):
+            own = q_order[q_starts[g] : q_starts[g] + q_sizes[g]]
+            skipped = None if leave_out is None else leave_out[own]
+            if not keep.all():
+                rows = np.flatnonzero(keep[leaf_of_row])
+            elif certified[own].all():
+                rows = _screened_rows(columns, sq_norms, q[own], screen_bounds[own], skipped, k)
+            else:
+                rows = None
+            out[own] = _k_nearest(columns, q[own], rows, skipped, k)
+    return out
+
+
+def knn_indices(
+    dataset: LabeledDataset,
+    query: Sequence[float] | np.ndarray,
+    config: KnnConfig,
+    exclude_index: Optional[int] = None,
+) -> np.ndarray:
+    """Row indices of the k nearest dataset rows to query.
+
+    Nearness is squared Euclidean distance; ties go to the lower row index
+    and the result is sorted by (distance, index) ascending. exclude_index
+    removes one row from the candidate set and is honored only when
+    config.include_self is false (its intended use is leave-self-out
+    queries). The search is that of label_distributions, for one query.
+    """
+    q = as_queries([query], dataset.dim)
+    rows = _neighbors(dataset, q, config, None if exclude_index is None else [exclude_index])[0]
+    # _sq_dists gives each found row's distance as the search computed it.
+    return rows[np.lexsort((rows, _sq_dists(dataset.features[rows].T, q)[0]))]
 
 
 def label_distributions(
@@ -348,12 +479,17 @@ def label_distributions(
     2. For each group, the leaves nearest to its box by squared box-to-box
        gap are taken until they hold k rows besides a left-out one. The
        bound is the largest kth distance of the group's queries among them.
-    3. Every leaf whose gap exceeds the bound is skipped. The kept rows, in
-       row-index order, are searched as brute force would be: distances by
-       _sq_dists, the k nearest by argpartition, and where more than k rows
-       lie within a query's kth distance the exact (distance, index) rule.
-       A group that keeps every leaf is searched against all rows without
-       a gather, which is the brute-force search itself.
+    3. Every leaf whose gap exceeds the bound is skipped. A group that can
+       skip no leaf (all groups at d >= 8 on typical data) is screened
+       instead: one matrix product gives each query's screen values
+       |y|^2 - 2 q.y over all rows, and the group keeps the rows within
+       twice the certified bound of screen_bound of some query's kth
+       screened value (_screened_rows). A group with a query of radius
+       above 2^508 searches all rows, with no gather: the brute-force search
+       itself, with its overflow warnings. The kept rows, in row-index
+       order, are searched as brute force would be: distances by _sq_dists,
+       the k nearest by argpartition, and where more than k rows lie within
+       a query's kth distance the exact (distance, index) rule.
 
     Why skipping is exact: the gap is added one coordinate at a time in the
     order of _sq_dists. A row x of a leaf and a query q of a group differ in
@@ -362,36 +498,14 @@ def label_distributions(
     non-negative terms are monotone. So the computed distance from q to x
     is at least the computed gap, which exceeds the bound, which is at least
     q's kth distance among all rows. A skipped row can neither beat nor tie
-    q's kth neighbor, so no margin and no fallback are needed, and the
-    result equals the brute-force one bit for bit.
+    q's kth neighbor, so no margin and no fallback are needed. The screen
+    likewise keeps every row that ties or beats a kth neighbor
+    (_screened_rows), so the result equals the brute-force one bit for bit.
     """
-    q = as_queries(queries, dataset.dim)
-    leave_out = _leave_out_rows(dataset, config, leave_out)
-    if leave_out is not None and leave_out.shape != (q.shape[0],):
-        raise ParameterError(f"leave_out must hold one row index per query, got shape {leave_out.shape}")
-    k, n = config.k, dataset.n
-    columns = np.ascontiguousarray(dataset.features.T)
-    order, starts, lo, hi = _kd_leaves(dataset.features, LEAF_SIZE)
-    sizes = np.diff(starts, append=n)
-    leaf_of_row = np.empty(n, dtype=np.int64)
-    leaf_of_row[order] = np.repeat(np.arange(starts.shape[0]), sizes)
-    q_order, q_starts, q_lo, q_hi = _kd_leaves(q, max(1, min(GROUP_SIZE, BLOCK_CELLS // n)))
-    q_sizes = np.diff(q_starts, append=q.shape[0])
-    # Chunks of groups keep the gaps and the bounds' distances within BLOCK_CELLS.
-    chunk = max(1, BLOCK_CELLS // (q_sizes.max() * max(starts.shape[0], k + 1 + sizes.max())))
-    out = np.empty((q.shape[0], dataset.num_classes), dtype=np.float64)
-    for first in range(0, q_starts.shape[0], chunk):
-        part = slice(first, first + chunk)
-        gaps = _box_gaps(q_lo[part], q_hi[part], lo, hi)
-        width = np.arange(q_sizes[part].max())
-        members = q_order[q_starts[part, None] + np.minimum(width, q_sizes[part, None] - 1)]
-        bound = _group_bounds(columns, q, members, gaps, (order, starts, sizes), k, leave_out)
-        for g, keep in enumerate(gaps <= bound[:, None], start=first):
-            own = q_order[q_starts[g] : q_starts[g] + q_sizes[g]]
-            rows = None if keep.all() else np.flatnonzero(keep[leaf_of_row])
-            skipped = None if leave_out is None else leave_out[own]
-            out[own] = _count_labels(dataset, columns, q[own], rows, skipped, k) / float(k)
-    return out
+    neighbors = _neighbors(dataset, queries, config, leave_out)
+    n, C = neighbors.shape[0], dataset.num_classes
+    flat = (np.arange(n)[:, None] * C + dataset.labels[neighbors]).ravel()
+    return np.bincount(flat, minlength=n * C).reshape(-1, C) / float(config.k)
 
 
 def estimate_all(dataset: LabeledDataset, config: KnnConfig) -> np.ndarray:

@@ -27,6 +27,25 @@ def oracle_knn(features, query, k, exclude_index=None):
     return [idx for _, idx in scored[:k]]
 
 
+def oracle_in_order_knn(features, queries, k, leave_out=None):
+    """(n, k) row indices of each query's k nearest rows, ordered by
+    (distance, index), from the full (n, N) array of squared distances
+    summed one coordinate at a time in index order with numpy's subtract,
+    multiply and add, so that sums that overflow give inf as the library's do
+    (Python float arithmetic would raise). leave_out[i], when given, is
+    removed from query i's candidates."""
+    dists = np.zeros((queries.shape[0], features.shape[0]))
+    for j in range(features.shape[1]):
+        term = np.subtract(features[:, j], queries[:, j : j + 1])
+        dists = np.add(dists, np.multiply(term, term))
+    rows = []
+    for i, row in enumerate(dists):
+        candidates = [idx for idx in range(row.shape[0]) if leave_out is None or idx != leave_out[i]]
+        candidates.sort(key=lambda idx: (row[idx], idx))
+        rows.append(candidates[:k])
+    return np.array(rows, dtype=np.int64)
+
+
 def oracle_kl(p, q):
     """Term-by-term KL divergence with the 0*log(0/.) = 0 convention."""
     total = 0.0

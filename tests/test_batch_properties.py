@@ -5,6 +5,10 @@ so that distance ties, including ties at the kth neighbor, are common. The
 block size is also drawn, so that batches cross block boundaries, and so
 are the k-d leaf and query group sizes of the kNN search, so that these
 small datasets split into many leaves and groups and far leaves are skipped.
+At d >= 8 groups that skip no leaf are screened by one matrix product; that
+screen is also checked on tied integer grids, at magnitudes whose squares
+underflow or overflow, and with rows beyond the radius it certifies, where
+it must warn exactly as the unscreened search does.
 
 The fit loop's premises are pinned the same way: its own-subset KL terms,
 distinct-row KL lookups, subset distributions, smoothing and one-sort
@@ -17,6 +21,7 @@ subsets whose distributions changed.
 """
 
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from klvq import (
     SmoothingConfig,
     estimate_all,
     kl_matrix,
+    knn_indices,
     label_distributions,
     repair_empty,
     smooth,
@@ -43,9 +49,9 @@ from klvq import (
 from klvq import divergence, kmeans, label_model, quantizer
 from klvq.divergence import PointTable, _kl_terms
 
-from oracles import oracle_assign, oracle_knn, oracle_nearest, oracle_repair
+from oracles import oracle_assign, oracle_in_order_knn, oracle_knn, oracle_nearest, oracle_repair
 
-DIMS = (1, 2, 3, 7, 8, 16)
+DIMS = (1, 2, 3, 7, 8, 16, 33)
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 coordinates = st.one_of(
@@ -116,6 +122,84 @@ def test_label_distributions_match_oracle(dim, data):
         for i, row in enumerate(dataset.features)
     ]
     np.testing.assert_array_equal(got_all, want_all)
+
+
+@st.composite
+def screen_cases(draw, dim):
+    """A dataset, queries and a config for the screened search: a tied
+    integer grid or drawn coordinates, with rows mirrored through a query
+    (equally far from it in exact arithmetic, so that rounding decides their
+    order), scaled so that squares may underflow (1e-170) or overflow (1e154
+    and up, beyond the certified radius), and sometimes one far row or query
+    beyond that radius among ordinary ones."""
+    grid = st.integers(-2, 2).map(float)
+    elements = grid if draw(st.booleans()) else coordinates
+    scale = draw(st.sampled_from([1e-170, 1e-160, 1.0, 1e150, 1e154, 1e200]))
+    base = draw(arrays(np.float64, (draw(st.integers(2, 24)), dim), elements=elements))
+    queries = draw(arrays(np.float64, (draw(st.integers(1, 8)), dim), elements=elements))
+    every_row = st.just(list(range(base.shape[0])))
+    mirrored = draw(st.one_of(every_row, st.lists(st.integers(0, base.shape[0] - 1), max_size=8)))
+    features = with_repeats(draw, np.vstack([base, 2.0 * queries[0] - base[mirrored]])) * scale
+    queries = queries * scale
+    far = draw(st.sampled_from(["none", "row", "query"]))
+    if far == "row":
+        features[draw(st.integers(0, features.shape[0] - 1)), 0] = 1e200
+    elif far == "query":
+        queries[0, 0] = 1e200
+    num_classes = draw(st.integers(1, 4))
+    labels = draw(arrays(np.int64, features.shape[0], elements=st.integers(0, num_classes - 1)))
+    dataset = LabeledDataset(features, labels, tuple(f"c{c}" for c in range(num_classes)))
+    include_self = draw(st.booleans())
+    bound = dataset.n if include_self else dataset.n - 1
+    config = KnnConfig(k=draw(st.one_of(st.just(bound), st.integers(1, bound))), include_self=include_self)
+    return dataset, np.vstack([features, queries]), config
+
+
+def with_warnings(call):
+    """call's result and the set of its warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, {str(w.message) for w in caught}
+
+
+@pytest.mark.parametrize("dim", [8, 16, 33])
+@SETTINGS
+@given(data=st.data())
+def test_screened_search_matches_the_in_order_reference(dim, data):
+    dataset, queries, config = data.draw(screen_cases(dim))
+    k, labels, C = config.k, dataset.labels, dataset.num_classes
+    leave_out = None if config.include_self else np.arange(dataset.n)
+
+    def search():
+        return (
+            label_distributions(dataset, queries, config),
+            estimate_all(dataset, config),
+            [knn_indices(dataset, q, config, i) for i, q in enumerate(dataset.features[:3])],
+            # The center of the mirrored rows, searched alone.
+            knn_indices(dataset, queries[dataset.n], KnnConfig(k=k)),
+        )
+
+    with leaves_of(data.draw(search_sizes), data.draw(search_sizes)):
+        (got, got_all, got_rows, got_center), got_warnings = with_warnings(search)
+        with pytest.MonkeyPatch.context() as patch:
+            # No radius is certified, so no group is screened.
+            patch.setattr(label_model, "_MAX_RADIUS", -np.inf)
+            unscreened, want_warnings = with_warnings(search)
+    with np.errstate(over="ignore"):
+        want_rows = oracle_in_order_knn(dataset.features, queries, k)
+        want_rows_all = oracle_in_order_knn(dataset.features, dataset.features, k, leave_out)
+
+    def counts(rows):
+        return np.array([np.bincount(labels[r], minlength=C) for r in rows]) / float(k)
+
+    np.testing.assert_array_equal(got, counts(want_rows))
+    np.testing.assert_array_equal(got_all, counts(want_rows_all))
+    for i, rows in enumerate(got_rows):
+        np.testing.assert_array_equal(rows, want_rows_all[i])
+    np.testing.assert_array_equal(got_center, want_rows[dataset.n])
+    np.testing.assert_array_equal(unscreened[1], got_all)
+    assert got_warnings == want_warnings
 
 
 @pytest.mark.parametrize("dim", DIMS)

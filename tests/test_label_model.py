@@ -17,7 +17,7 @@ from klvq import (
 from klvq import label_model
 from klvq.label_model import real_matrix
 
-from oracles import oracle_knn
+from oracles import oracle_in_order_knn, oracle_knn
 
 
 @pytest.fixture
@@ -265,13 +265,13 @@ class TestPrunedSearch:
     def searched(self, monkeypatch):
         """(query block, searched rows or None for all rows) of every group."""
         calls = []
-        count_labels = label_model._count_labels
+        k_nearest = label_model._k_nearest
 
-        def spy(dataset, columns, queries, rows, leave_out, k):
+        def spy(columns, queries, rows, leave_out, k):
             calls.append((queries.copy(), rows))
-            return count_labels(dataset, columns, queries, rows, leave_out, k)
+            return k_nearest(columns, queries, rows, leave_out, k)
 
-        monkeypatch.setattr(label_model, "_count_labels", spy)
+        monkeypatch.setattr(label_model, "_k_nearest", spy)
         return calls
 
     def test_a_group_keeps_no_leaf_of_the_far_cluster(self, searched):
@@ -324,3 +324,31 @@ class TestPrunedSearch:
             neighbors = oracle_knn(features.tolist(), query.tolist(), 7, exclude)
             want = np.bincount(dataset.labels[neighbors], minlength=4) / 7.0
             np.testing.assert_array_equal(got[i], want)
+
+    def test_a_d16_group_searches_only_the_screened_rows(self, searched):
+        # At d = 16 the k-d bound keeps every leaf, so each group is
+        # screened: it must search far fewer rows than all of them.
+        rng = np.random.default_rng(61)
+        features = rng.normal(size=(1200, 16))
+        dataset = LabeledDataset(features, rng.integers(0, 3, size=1200), ("a", "b", "c"))
+        config = KnnConfig(k=10, include_self=False)
+        got = estimate_all(dataset, config)
+        assert sum(block.shape[0] for block, _ in searched) == 1200
+        assert all(rows is not None and rows.shape[0] < 1200 // 2 for _, rows in searched)
+        want = oracle_in_order_knn(features, features, 10, np.arange(1200))
+        np.testing.assert_array_equal(got, [np.bincount(dataset.labels[r], minlength=3) / 10.0 for r in want])
+
+    @pytest.mark.parametrize("d", [8, 16, 33])
+    def test_rows_mirrored_through_the_query_keep_the_exact_order(self, d):
+        # A row x and its mirror 2q - x are equally far from q in exact
+        # arithmetic, so rounding alone orders each pair; an odd k splits
+        # a pair at the kth neighbor, where the screen must keep both.
+        for trial in range(60):
+            rng = np.random.default_rng(trial)
+            query = rng.normal(size=d)
+            base = rng.normal(size=(20, d))
+            features = np.vstack([base, 2.0 * query - base])
+            dataset = LabeledDataset(features, np.arange(40) % 3, ("a", "b", "c"))
+            k = 2 * int(rng.integers(0, 20)) + 1
+            got = knn_indices(dataset, query, KnnConfig(k=k))
+            np.testing.assert_array_equal(got, oracle_in_order_knn(features, query[None], k)[0])
