@@ -79,9 +79,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         noise=args.noise,
     )
     out_dir = Path(args.out_dir)
-    fileio.save_bags(train_bags, out_dir / "train", dataset.class_names)
-    fileio.save_bags(test_bags, out_dir / "test", dataset.class_names)
-    fileio.save_dataset(out_dir / "descriptors.csv", dataset)
+    fileio.save_synthetic(out_dir, train_bags, test_bags, dataset.class_names)
     print(f"train items: {len(train_bags)}")
     print(f"test items: {len(test_bags)}")
     print(f"pooled training descriptors: {dataset.n}")

@@ -3,11 +3,12 @@
 Dataset CSV: header ``f1,...,fd,label``, one vector per row, label as a class
 name string. Bags are stored as one descriptor CSV per item (header
 ``f1,...,fd``) plus a ``manifest.csv`` with columns ``item_id,path,label``.
-Every feature table is read by ``_read_table`` and every CSV is written by
-``_write_csv``; class indices follow first appearance order in datasets and
-manifests alike. Models are JSON documents carrying a
-``format_version`` and a ``kind`` of ``klvq`` or ``kmeans``; all reals are
-serialized at full round-trip precision.
+Every feature table is read by ``_read_table``. Every CSV is written as
+``csv.writer`` would write it, without running it: a float cell is its
+``repr``, a text cell is quoted by ``_text_cell``, and lines end in ``\r\n``.
+Class indices follow first appearance order in datasets and manifests alike.
+Models are JSON documents carrying a ``format_version`` and a ``kind`` of
+``klvq`` or ``kmeans``; all reals are serialized at full round-trip precision.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .quantizer import QuantizerConfig, QuantizerModel
 
 FORMAT_VERSION = 1
 _MANIFEST_HEADER = ["item_id", "path", "label"]
+_LINE_END = "\r\n"
+# Rows formatted per write by save_dataset, so its Python floats never hold the whole matrix.
+_DATASET_BLOCK_ROWS = 4096
 # A csv quote, or U+001C-U+001F, which loadtxt strips around a number and float() rejects.
 _NOT_CLEAN = '"\x1c\x1d\x1e\x1f'
 
@@ -121,13 +125,25 @@ def _parse_rows(
     return features, [row[-1] for row in rows[1:]] if label else []
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    """Write header and rows; a float cell is written as its repr, which
-    reads back to the same float."""
+def _text_cell(value: object) -> str:
+    """A text cell as csv.writer writes it in a row of two or more cells:
+    quoted, with each quote doubled, when it holds a comma, a quote, a CR or an LF."""
+    text = str(value)
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _float_rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a float matrix as the reprs of its cells joined by commas,
+    which is what csv.writer writes for a row of Python floats and reads back
+    to the same floats; the line ends are the caller's."""
+    return [",".join(map(repr, row)) for row in matrix.tolist()]
+
+
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(text)
 
 
 def _class_indices(cells: Iterable[str], known: Sequence[str] = ()) -> tuple[list[int], tuple[str, ...]]:
@@ -145,11 +161,16 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
 
 def save_dataset(path: str | Path, dataset: LabeledDataset) -> None:
-    # One row at a time: a whole-matrix tolist() would hold every cell as a
+    # A block of rows at a time: a whole-matrix tolist() would hold every cell as a
     # Python float at once, which raised peak memory and slowed later commands.
-    names = dataset.class_names
-    rows = (row.tolist() + [names[label]] for row, label in zip(dataset.features, dataset.labels))
-    _write_csv(Path(path), _feature_header(dataset.dim) + ["label"], rows)
+    ends = [f",{_text_cell(name)}{_LINE_END}" for name in dataset.class_names]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(_feature_header(dataset.dim) + ["label"]) + _LINE_END)
+        for start in range(0, dataset.n, _DATASET_BLOCK_ROWS):
+            stop = start + _DATASET_BLOCK_ROWS
+            rows = _float_rows(dataset.features[start:stop])
+            labels = dataset.labels[start:stop].tolist()
+            handle.write("".join(row + ends[label] for row, label in zip(rows, labels)))
 
 
 def load_feature_matrix(path: str | Path) -> np.ndarray:
@@ -157,18 +178,75 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     return _read_table(Path(path), label=None)[0]
 
 
-def save_bags(bags: Sequence[FeatureBag], directory: str | Path, class_names: Sequence[str]) -> None:
-    """Write one descriptor CSV per bag plus the manifest.csv index."""
+def _check_bags(bags: Sequence[FeatureBag]) -> None:
+    """Raise ParameterError for a bag that save_bags cannot store: one without
+    a label, or whose item_id repeats another's, is not a plain file name, or
+    names the manifest."""
+    seen = set()
     for bag in bags:
         if bag.label is None:
             raise ParameterError(f"item {bag.item_id!r} has no label to store")
+        item_id = str(bag.item_id)
+        if "/" in item_id or "\\" in item_id or item_id in (".", ".."):
+            raise ParameterError(f"item id {bag.item_id!r} is not a plain file name")
+        if item_id == "manifest":
+            raise ParameterError("item id 'manifest' would overwrite manifest.csv")
+        if item_id in seen:
+            raise ParameterError(f"item id {bag.item_id!r} is used by two bags")
+        seen.add(item_id)
+
+
+def _write_bags(
+    bags: Sequence[FeatureBag], directory: Path, class_names: Sequence[str], pooled: Optional[TextIO] = None
+) -> None:
+    """save_bags on checked bags. With pooled, each bag's rows are also
+    appended to it, every line carrying the bag's label cell, so the rows are
+    formatted once for both files."""
+    directory.mkdir(parents=True, exist_ok=True)
+    label_cells = [_text_cell(name) for name in class_names]
+    manifest = [",".join(_MANIFEST_HEADER)] + [
+        f"{_text_cell(bag.item_id)},{_text_cell(f'{bag.item_id}.csv')},{label_cells[bag.label]}" for bag in bags
+    ]
+    _write_text(directory / "manifest.csv", _LINE_END.join(manifest) + _LINE_END)
+    for bag in bags:
+        rows = _float_rows(bag.descriptors)
+        header = ",".join(_feature_header(bag.descriptors.shape[1]))
+        _write_text(directory / f"{bag.item_id}.csv", _LINE_END.join([header] + rows) + _LINE_END)
+        if pooled is not None:
+            end = f",{label_cells[bag.label]}{_LINE_END}"
+            pooled.write(end.join(rows) + end)
+
+
+def save_bags(bags: Sequence[FeatureBag], directory: str | Path, class_names: Sequence[str]) -> None:
+    """Write one descriptor CSV per bag plus the manifest.csv index. Raises
+    ParameterError, before writing any file, for a bag without a label and for
+    an item_id that repeats, is not a plain file name (it holds / or \\, or
+    is . or ..) or is manifest."""
+    _check_bags(bags)
+    _write_bags(bags, Path(directory), class_names)
+
+
+def save_synthetic(
+    directory: str | Path,
+    train_bags: Sequence[FeatureBag],
+    test_bags: Sequence[FeatureBag],
+    class_names: Sequence[str],
+) -> None:
+    """Write the layout of ``klvq synth``: the bag directories ``train`` and
+    ``test``, and ``descriptors.csv``, the train descriptors pooled in bag
+    order with each row labeled by its bag's class. That pooled file is
+    byte for byte save_dataset of generate_synthetic's dataset, but each row
+    is formatted once, for its bag file and the pooled file together, one bag
+    at a time. The train bags share the first one's dimension, as
+    generate_synthetic's do."""
+    _check_bags(train_bags)
+    _check_bags(test_bags)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = ([bag.item_id, f"{bag.item_id}.csv", class_names[bag.label]] for bag in bags)
-    _write_csv(directory / "manifest.csv", _MANIFEST_HEADER, manifest)
-    for bag in bags:
-        header = _feature_header(bag.descriptors.shape[1])
-        _write_csv(directory / f"{bag.item_id}.csv", header, bag.descriptors.tolist())
+    with open(directory / "descriptors.csv", "w", encoding="utf-8", newline="") as pooled:
+        pooled.write(",".join(_feature_header(train_bags[0].descriptors.shape[1]) + ["label"]) + _LINE_END)
+        _write_bags(train_bags, directory / "train", class_names, pooled)
+    _write_bags(test_bags, directory / "test", class_names)
 
 
 def load_bags(

@@ -147,3 +147,13 @@ def oracle_read_table(path, label, rows_name="data"):
                 raise DatasetFormatError(f"{path}: line {lineno}, column {column}: non-finite value {cell!r}")
             features[lineno - 2, column - 1] = value
     return features, [row[-1] for row in rows[1:]] if label else []
+
+
+def oracle_write_csv(path, header, rows):
+    """A CSV as csv.writer writes it: the header row, then each row, with
+    csv's default dialect (a float cell as its repr, minimal quoting, \\r\\n
+    line ends). The library's writers must match it byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,10 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_read_table
+from oracles import oracle_read_table, oracle_write_csv
 
 from klvq import (
     DatasetFormatError,
@@ -302,6 +304,27 @@ class TestBagStorage:
         with pytest.raises(ParameterError, match="'item' has no label to store"):
             save_bags([bag], tmp_path / "bags", ("a",))
 
+    def test_repeated_item_id_is_rejected_before_any_write(self, tmp_path):
+        """Both bags would go to a.csv, and the first bag's rows would be lost."""
+        bags = [FeatureBag("a", np.zeros((2, 2)), 0), FeatureBag("a", np.ones((3, 2)), 1)]
+        with pytest.raises(ParameterError, match="'a' is used by two bags"):
+            save_bags(bags, tmp_path / "bags", ("x", "y"))
+        assert not (tmp_path / "bags").exists()
+
+    def test_item_id_manifest_is_rejected_before_any_write(self, tmp_path):
+        """Its descriptor file would overwrite manifest.csv."""
+        with pytest.raises(ParameterError, match="would overwrite manifest.csv"):
+            save_bags([FeatureBag("manifest", np.zeros((2, 2)), 0)], tmp_path / "bags", ("x",))
+        assert not (tmp_path / "bags").exists()
+
+    @pytest.mark.parametrize("item_id", ["../escaped", "sub/item", "sub\\item", ".", ".."])
+    def test_item_id_that_is_not_a_plain_file_name_is_rejected_before_any_write(self, tmp_path, item_id):
+        """../escaped would write escaped.csv beside the bag directory."""
+        bags = [FeatureBag("fine", np.zeros((2, 2)), 0), FeatureBag(item_id, np.zeros((2, 2)), 0)]
+        with pytest.raises(ParameterError, match="is not a plain file name"):
+            save_bags(bags, tmp_path / "bags", ("x",))
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_oversized_quoted_cell_names_the_line(tmp_path):
     cell = '"' + "1" * 200_000 + '"'
@@ -424,3 +447,126 @@ def test_clean_files_take_the_loadtxt_path(tmp_path, monkeypatch):
     assert parsed == []
     load_feature_matrix(write(tmp_path / "quoted.csv", 'f1,f2\n"0.5",1\n'))
     assert parsed == [tmp_path / "quoted.csv"]
+
+
+# Cells at the edges of repr: signed zero, the smallest subnormal, the switch
+# to exponent notation at both ends, and the largest finite magnitudes.
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# Text cells that csv quotes (a comma, a quote, CR, LF) or leaves bare (spaces, the empty name).
+NAMES = st.text(alphabet='ab,"\r\n ', max_size=4)
+ITEM_IDS = st.text(alphabet='ab,"\r\n .', min_size=1, max_size=4).filter(lambda text: text not in (".", ".."))
+
+
+def oracle_save_bags(bags, directory, class_names):
+    directory.mkdir(parents=True)
+    manifest = [[bag.item_id, f"{bag.item_id}.csv", class_names[bag.label]] for bag in bags]
+    oracle_write_csv(directory / "manifest.csv", ["item_id", "path", "label"], manifest)
+    for bag in bags:
+        header = [f"f{j}" for j in range(1, bag.descriptors.shape[1] + 1)]
+        oracle_write_csv(directory / f"{bag.item_id}.csv", header, bag.descriptors.tolist())
+
+
+def oracle_save_dataset(path, dataset):
+    header = [f"f{j}" for j in range(1, dataset.dim + 1)] + ["label"]
+    rows = [row + [dataset.class_names[label]] for row, label in zip(dataset.features.tolist(), dataset.labels)]
+    oracle_write_csv(path, header, rows)
+
+
+def file_bytes(directory):
+    return {path.relative_to(directory): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@st.composite
+def matrices(draw, dim=None):
+    dim = dim or draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(FLOATS, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    return np.array(rows, dtype=np.float64).reshape(-1, dim)
+
+
+@st.composite
+def bag_sets(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=3))
+    ids = draw(st.lists(ITEM_IDS, min_size=1, max_size=4, unique=True))
+    return [FeatureBag(item_id, draw(matrices()), draw(st.integers(0, len(names) - 1))) for item_id in ids], names
+
+
+@st.composite
+def datasets(draw):
+    features = draw(matrices())
+    names = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.integers(0, len(names) - 1), min_size=len(features), max_size=len(features)))
+    return LabeledDataset(features, labels, tuple(names))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=bag_sets())
+def test_save_bags_writes_what_csv_writer_writes(case):
+    bags, names = case
+    with tempfile.TemporaryDirectory() as root:
+        save_bags(bags, Path(root, "got"), names)
+        oracle_save_bags(bags, Path(root, "want"), names)
+        assert file_bytes(Path(root, "got")) == file_bytes(Path(root, "want"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dataset=datasets())
+def test_save_dataset_writes_what_csv_writer_writes(tmp_path_factory, dataset):
+    base = tmp_path_factory.getbasetemp()
+    save_dataset(base / "got.csv", dataset)
+    oracle_save_dataset(base / "want.csv", dataset)
+    assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+
+
+def test_edge_floats_and_quoted_names_are_written_as_csv_writer_writes_them(tmp_path):
+    """Every edge float in one file; names with a comma, a quote, CR and LF
+    are quoted; an empty name in a multi-cell row is written as nothing at
+    all, where csv.writer writes a lone empty cell as \"\"."""
+    features = np.array(EDGE_FLOATS).reshape(3, 2)
+    names = ("", "a,b", 'say "hi"', "cr\rlf\n", "plain")
+    dataset = LabeledDataset(features, [0, 1, 2], names[:3])
+    save_dataset(tmp_path / "got.csv", dataset)
+    oracle_save_dataset(tmp_path / "want.csv", dataset)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.splitlines()[1:4] == [
+        b"-0.0,5e-324,",
+        b'1e-05,1e+16,"a,b"',
+        b'1.7976931348623157e+308,-1.7976931348623157e+308,"say ""hi"""',
+    ]
+    bags = [FeatureBag(f"item{i}", features, i) for i in range(len(names))]
+    save_bags(bags, tmp_path / "got", names)
+    oracle_save_bags(bags, tmp_path / "want", names)
+    assert file_bytes(tmp_path / "got") == file_bytes(tmp_path / "want")
+    oracle_write_csv(tmp_path / "lone.csv", [""], [])
+    assert (tmp_path / "lone.csv").read_bytes() == b'""\r\n'
+
+
+SYNTH_SHAPES = [(3, 4, 6, 2), (4, 2, 5, 8), (2, 3, 2, 16)]
+
+
+@pytest.mark.parametrize("classes, items, descriptors, dim", SYNTH_SHAPES)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_synth_writes_what_csv_writer_writes(tmp_path, seed, classes, items, descriptors, dim):
+    """Every file of klvq synth, and descriptors.csv is save_dataset of
+    generate_synthetic's dataset: the train bags pooled in order, each row
+    labeled by its bag."""
+    argv = ["synth", "--seed", str(seed), "--classes", str(classes), "--items-per-class", str(items),
+            "--descriptors", str(descriptors), "--dim", str(dim), "--noise", "0.5", "--out-dir", str(tmp_path / "got")]
+    assert cli(argv) == 0
+    train_bags, test_bags, dataset = generate_synthetic(seed, classes, items, descriptors, dim, 0.5)
+    want = tmp_path / "want"
+    oracle_save_bags(train_bags, want / "train", dataset.class_names)
+    oracle_save_bags(test_bags, want / "test", dataset.class_names)
+    oracle_save_dataset(want / "descriptors.csv", dataset)
+    assert file_bytes(tmp_path / "got") == file_bytes(want)
+    save_dataset(tmp_path / "saved.csv", dataset)
+    assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "got/descriptors.csv").read_bytes()
+
+
+def test_save_synthetic_rejects_unsafe_ids_before_any_write(tmp_path):
+    train_bags, test_bags, dataset = generate_synthetic(1, 2, 2, 3, 2, 0.5)
+    test_bags[1] = FeatureBag("../escaped", test_bags[1].descriptors, test_bags[1].label)
+    with pytest.raises(ParameterError, match="not a plain file name"):
+        fileio.save_synthetic(tmp_path / "out", train_bags, test_bags, dataset.class_names)
+    assert list(tmp_path.iterdir()) == []
