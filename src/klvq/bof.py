@@ -210,7 +210,7 @@ def class_mode_layout(
     evenly along the line for dim = 1. The background center is the centroid
     of the class modes.
     """
-    if num_classes < 1 or dim < 1:
+    if require_int(num_classes, "num_classes") < 1 or require_int(dim, "dim") < 1:
         raise ParameterError("num_classes and dim must be >= 1")
     modes = np.zeros((num_classes, dim))
     if num_classes == 1:
@@ -253,7 +253,8 @@ def generate_synthetic(
     mode. Bags are generated train split first, then test, class-major, so a
     fixed seed reproduces identical bags.
     """
-    if min(num_classes, items_per_class, descriptors_per_item, dim) < 1:
+    counts = (num_classes, items_per_class, descriptors_per_item, dim)
+    if min(map(require_int, counts, ("num_classes", "items_per_class", "descriptors_per_item", "dim"))) < 1:
         raise ParameterError("all generator counts must be >= 1")
     if require_int(seed, "seed") < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")

@@ -187,7 +187,7 @@ def _check_bags(bags: Sequence[FeatureBag]) -> None:
         if bag.label is None:
             raise ParameterError(f"item {bag.item_id!r} has no label to store")
         item_id = str(bag.item_id)
-        if "/" in item_id or "\\" in item_id or item_id in (".", ".."):
+        if any(char in item_id for char in "/\\\0") or item_id in (".", ".."):
             raise ParameterError(f"item id {bag.item_id!r} is not a plain file name")
         if item_id == "manifest":
             raise ParameterError("item id 'manifest' would overwrite manifest.csv")
@@ -220,8 +220,8 @@ def _write_bags(
 def save_bags(bags: Sequence[FeatureBag], directory: str | Path, class_names: Sequence[str]) -> None:
     """Write one descriptor CSV per bag plus the manifest.csv index. Raises
     ParameterError, before writing any file, for a bag without a label and for
-    an item_id that repeats, is not a plain file name (it holds / or \\, or
-    is . or ..) or is manifest."""
+    an item_id that repeats, is not a plain file name (it holds /, \\ or a
+    NUL byte, or is . or ..) or is manifest."""
     _check_bags(bags)
     _write_bags(bags, Path(directory), class_names)
 
@@ -263,6 +263,8 @@ def load_bags(
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise DatasetFormatError(f"{manifest}: line {lineno} has {len(row)} cells, expected 3")
+        if "\0" in row[1]:
+            raise DatasetFormatError(f"{manifest}: line {lineno}: path {row[1]!r} holds a NUL byte")
         descriptors.append(_read_table(directory / row[1], label=False, rows_name="descriptor")[0])
     labels, names = _class_indices((row[2] for row in rows[1:]), () if class_names is None else class_names)
     bags = [

@@ -131,15 +131,15 @@ def kmeans_fit(
     seed: int = 0,
     max_iters: int = 100,
 ) -> tuple[KmeansModel, Partition]:
-    """Standard Lloyd iteration; stops at an assignment fixpoint or max_iters.
+    """Standard Lloyd iteration; stops at an assignment fixpoint, at the
+    first repeated assignment, or after max_iters (partition.alternate).
 
     The inertia recorded after each iteration (sum of squared distances of
     points to their updated centroids) is non-increasing and is kept on the
     model as inertia_trace. From the second iteration on, an iteration is a
-    function of the repaired assignment the previous one left, so once such
-    an assignment comes back the recorded cycle is replayed up to max_iters
-    (partition.alternate): trace, centroids and partition are those that
-    running every iteration gives.
+    function of the repaired assignment the previous one left, so a fit that
+    stops before max_iters off a fixpoint has entered a cycle. The centroids
+    and partition are those of the last iteration.
     """
     X = real_matrix(features, "features")
     n = X.shape[0]
@@ -153,16 +153,15 @@ def kmeans_fit(
     rng = np.random.default_rng(seed)
     centroids = X[rng.choice(n, size=K, replace=False)].copy()
 
-    def step(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, np.ndarray]]:
+    def step(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         proposed = _nearest(X, centroids)
         repaired = repair_empty(proposed, K, lambda own: ((X - centroids[own]) ** 2).sum(axis=1))
         _update_centroids(X, repaired, centroids)
-        return proposed, repaired, (float(((X - centroids[repaired]) ** 2).sum()), centroids.copy())
+        return proposed, repaired, float(((X - centroids[repaired]) ** 2).sum())
 
-    # The all -1 start stands for the Forgy iteration; no proposal equals it.
-    records, assignment, _ = alternate(np.full(n, -1, dtype=np.int64), step, max_iters)
-    trace = tuple(inertia for inertia, _ in records)
-    return KmeansModel(centroids=records[-1][1], inertia_trace=trace), Partition(assignment, K)
+    # The all -1 start stands for the Forgy iteration; no assignment of the loop equals it.
+    trace, assignment, _ = alternate(np.full(n, -1, dtype=np.int64), step, max_iters)
+    return KmeansModel(centroids=centroids, inertia_trace=tuple(trace)), Partition(assignment, K)
 
 
 def kmeans_assign(model: KmeansModel, query: Sequence[float] | np.ndarray) -> int:

@@ -2,19 +2,17 @@
 k-means baseline share about them: the empty-subset repair rule, where they
 differ only in the cost of a point in its own subset (KL to its
 distribution, squared distance to its centroid), and alternate, the loop
-both fits run, which replays the cycle of a revisited assignment."""
+both fits run, which stops at the first repeated assignment."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 from .label_model import require_int, require_int_array
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -78,39 +76,32 @@ def repair_empty(
 
 def alternate(
     start: np.ndarray,
-    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, T]],
+    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, float]],
     max_iters: int,
-) -> tuple[list[T], np.ndarray, bool]:
-    """The fit loop both quantizers run: (records, assignment, converged).
+) -> tuple[list[float], np.ndarray, bool]:
+    """The fit loop both quantizers run: (trace, assignment, converged).
 
     Each iteration calls step(assignment) on the assignment it starts from,
     which returns a proposed assignment, the repaired assignment the next
-    iteration starts from, and the iteration's record. The loop stops when
-    a proposal equals the assignment its iteration started from (converged),
-    or after max_iters iterations.
-
-    step is deterministic, so what an iteration records and hands on are
-    functions of the assignment it starts from. Once iteration r starts from
-    the assignment of an earlier iteration f, the loop is periodic from f on
-    with period r - f: the recorded cycle is replayed up to max_iters and
-    step is not called again. Records, assignment and converged are those
-    that running every iteration gives. Each starting assignment is keyed
-    once, by its int64 bytes.
+    iteration starts from, and the iteration's objective. The loop stops
+    when a proposal equals the assignment its iteration started from
+    (converged; that assignment is returned), when a repaired assignment
+    repeats the start or an earlier one, or after max_iters iterations (not
+    converged; the last repaired assignment is returned). step is
+    deterministic, so after a repeat every iteration would only go round the
+    same cycle again. Assignments are keyed by their int64 bytes.
     """
-    records: list[T] = []
-    first: dict[bytes, int] = {}
-    starts: list[np.ndarray] = []
+    trace: list[float] = []
+    seen = {np.ascontiguousarray(start, dtype=np.int64).tobytes()}
     assignment = start
-    for iteration in range(max_iters):
-        seen = first.setdefault(np.ascontiguousarray(assignment, dtype=np.int64).tobytes(), iteration)
-        if seen != iteration:
-            phases = [seen + (later - seen) % (iteration - seen) for later in range(iteration, max_iters + 1)]
-            records += [records[phase] for phase in phases[:-1]]
-            return records, starts[phases[-1]], False
-        starts.append(assignment)
-        proposed, repaired, record = step(assignment)
-        records.append(record)
+    for _ in range(max_iters):
+        proposed, repaired, value = step(assignment)
+        trace.append(value)
         if np.array_equal(proposed, assignment):
-            return records, assignment, True
+            return trace, assignment, True
         assignment = repaired
-    return records, assignment, False
+        key = np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
+        if key in seen:
+            break
+        seen.add(key)
+    return trace, assignment, False

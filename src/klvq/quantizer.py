@@ -235,18 +235,19 @@ def fit(
 ) -> tuple[QuantizerModel, Partition, list[float]]:
     """Fit the KL quantizer by alternating distribution and assignment updates.
 
-    Starts from init_partition, stops at the first assignment fixpoint or
-    after max_iters. Empty subsets produced by an assignment step are
-    repaired before the next update. The (U, M) KL matrix of the U distinct
-    point distributions is kept across iterations, on one PointTable; each
-    iteration recomputes only the columns of the subsets whose distributions
-    changed, and reads from it assign_step's proposal, the repair costs and
-    the objective of the repaired partition. An iteration is a function of
-    the assignment it starts from, so once an assignment comes back the
-    recorded cycle is replayed up to max_iters (partition.alternate): the
-    trace, model and partition are those that running every iteration
-    gives. Returns the fitted model, the final partition, and the objective
-    value recorded after each full iteration.
+    Starts from init_partition. Empty subsets produced by an assignment step
+    are repaired before the next update. The (U, M) KL matrix of the U
+    distinct point distributions is kept across iterations, on one
+    PointTable; each iteration recomputes only the columns of the subsets
+    whose distributions changed, and reads from it assign_step's proposal,
+    the repair costs and the objective of the repaired partition.
+
+    The fit stops (partition.alternate) at an assignment fixpoint
+    (converged), at the first repeated assignment, or after max_iters. An
+    iteration is a function of the assignment it starts from, so a fit that
+    stops before max_iters with converged false has entered a cycle. Returns
+    the model and partition of the last iteration, and the objective value
+    recorded after each iteration.
     """
     point_dists = estimate_all(dataset, config.knn)
     start = init_partition(dataset, config, point_dists).assignment
@@ -256,7 +257,7 @@ def fit(
     # NaN rows differ from every distribution, so iteration 1 fills every column.
     previous = np.full((config.M, dataset.num_classes), np.nan)
 
-    def step(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, np.ndarray]]:
+    def step(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         nonlocal previous
         subset_dists = update_subset_distributions(
             Partition(assignment, config.M),
@@ -271,12 +272,11 @@ def fit(
         previous = subset_dists
         proposed = np.argmin(kls, axis=1)[inverse]
         repaired = _repair_empty_subsets(proposed, config.M, lambda own: kls[inverse, own])
-        return proposed, repaired, (float(kls[inverse, repaired].sum()), subset_dists)
+        return proposed, repaired, float(kls[inverse, repaired].sum())
 
-    records, assignment, converged = alternate(start, step, config.max_iters)
-    trace = [objective for objective, _ in records]
+    trace, assignment, converged = alternate(start, step, config.max_iters)
     model = QuantizerModel(
-        subset_dists=records[-1][1],
+        subset_dists=previous,
         config=config,
         training_set=dataset,
         final_objective=trace[-1],

@@ -224,6 +224,23 @@ class TestGenerateSynthetic:
         with pytest.raises(ParameterError, match="^noise must be a finite real number"):
             generate_synthetic(0, 1, 1, 1, 1, noise)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((2.5, 1, 1, 1), "num_classes"),
+            ((np.float64(3.0), 1, 1, 1), "num_classes"),
+            ((1, True, 1, 1), "items_per_class"),
+            ((1, 1, "4", 1), "descriptors_per_item"),
+            ((1, 1, 1, 2.0), "dim"),
+        ],
+    )
+    def test_rejects_non_integer_counts_by_name(self, args, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            generate_synthetic(0, *args, 0.0)
+        if name in ("num_classes", "dim"):
+            with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+                class_mode_layout(args[0], args[3])
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             generate_synthetic(0, 0, 1, 1, 1, 0.0)

@@ -266,9 +266,22 @@ class TestSynthAndEvalCommands:
             assert (code, out) == (1, "")
             assert err.startswith("error: ") and f"item {item[0]!r}" in err
 
+    def test_nul_byte_in_a_manifest_path_exits_one(self, tmp_path, capsys):
+        self.synth(capsys, tmp_path / "bench")
+        run(capsys, "kmeans-fit", "--input", tmp_path / "bench/descriptors.csv",
+            "--clusters", 3, "--output", tmp_path / "km.json")
+        manifest = tmp_path / "bench/test/manifest.csv"
+        manifest.write_text(manifest.read_text().replace(".csv,", "\x00.csv,", 1))
+        code, out, err = run(
+            capsys, "eval-bof", "--train-dir", tmp_path / "bench/train",
+            "--test-dir", tmp_path / "bench/test", "--model", tmp_path / "km.json",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {manifest}: line 2: path ") and "holds a NUL byte" in err
+
 
 GOLDEN_PAPER_FIT = """\
-iterations: 8
+iterations: 5
 converged: false
 final_objective: 5.5706838061937267
 iteration,objective
@@ -277,9 +290,6 @@ iteration,objective
 3,16.578646467269753
 4,12.624553274071852
 5,5.5706838061937267
-6,5.5706838061937267
-7,5.5706838061937267
-8,5.5706838061937267
 """
 
 GOLDEN_CENTROID_FIT = """\
@@ -343,7 +353,7 @@ max_iters: 8
 seed: 0
 init: random
 update_mode: paper
-iterations_run: 8
+iterations_run: 5
 converged: false
 final_objective: 5.5706838061937267
 """
@@ -358,21 +368,16 @@ inertia: 10956.100063008869
 """
 
 GOLDEN_REPAIR_FIT = """\
-iterations: 8
+iterations: 3
 converged: false
 final_objective: 47.218627310325388
 iteration,objective
 1,52.660055254124543
 2,57.926144901474125
 3,47.218627310325388
-4,47.218627310325388
-5,47.218627310325388
-6,47.218627310325388
-7,47.218627310325388
-8,47.218627310325388
 """
 
-GOLDEN_REPAIR_SHA256 = "49f3e353a87db531714624d61289f2b0d5f9b139802e4ea0c68c5816cff0f735"
+GOLDEN_REPAIR_SHA256 = "d6142335efd5043e4515e5db449122a8ea856bdae0b6f2ff5ca0debb1265e80a"
 
 GOLDEN_WIDE_FIT = """\
 iterations: 6
@@ -393,7 +398,7 @@ GOLDEN_WIDE_SHA256 = {
 }
 
 GOLDEN_MODEL_SHA256 = {
-    "paper.json": "08b32a587873f286750fa3fa7fbb3af08c78c0f0ea5e58a5a2c107e8849c1755",
+    "paper.json": "34af458e1daf5f8699540dc068e3470055c01abebf307c87a8125a07bf60601f",
     "centroid.json": "3afb3fa9694616c0f7061d27f29e02379646de7080045550cef9c9ea7d948abe",
     "kmeans.json": "f48b10d29356091c96fb9bfea816874c81ee3691741cb6a91ad020a79b75656c",
 }
@@ -424,8 +429,9 @@ class TestGoldenOutput:
         the synth stdout, then each fit's (exit code, stdout)."""
         synth_out = self.synth(tmp_path, capsys)
         data = tmp_path / "bench" / "descriptors.csv"
-        # Paper mode, random init: iterations 2-8 each repair one empty
-        # subset, and the fit cycles until --max-iters.
+        # Paper mode, random init: iterations 2-5 each repair one empty
+        # subset, and the repair of iteration 5 hands back the assignment
+        # iteration 5 started from, so the fit stops there, not converged.
         paper = run(
             capsys, "fit", "--input", data, "--subsets", 4, "--knn", 4, "--seed", 0,
             "--max-iters", 8, "--output", tmp_path / "paper.json",

@@ -295,6 +295,12 @@ class TestBagStorage:
         with pytest.raises(DatasetFormatError, match="line 2 has 2 cells, expected 3"):
             load_bags(tmp_path)
 
+    def test_manifest_path_with_a_nul_byte_names_the_line(self, tmp_path):
+        write(tmp_path / "item.csv", "f1\n1.0\n")
+        write(tmp_path / "manifest.csv", "item_id,path,label\nitem,item.csv,a\nodd,it\x00em.csv,a\n")
+        with pytest.raises(DatasetFormatError, match=r"manifest.csv: line 3: path 'it\\x00em.csv' holds a NUL byte"):
+            load_bags(tmp_path)
+
     def test_header_only_bag_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="no descriptor rows"):
             load_bag_file(write(tmp_path / "item.csv", "f1,f2\n"))
@@ -317,7 +323,7 @@ class TestBagStorage:
             save_bags([FeatureBag("manifest", np.zeros((2, 2)), 0)], tmp_path / "bags", ("x",))
         assert not (tmp_path / "bags").exists()
 
-    @pytest.mark.parametrize("item_id", ["../escaped", "sub/item", "sub\\item", ".", ".."])
+    @pytest.mark.parametrize("item_id", ["../escaped", "sub/item", "sub\\item", ".", "..", "a\x00b"])
     def test_item_id_that_is_not_a_plain_file_name_is_rejected_before_any_write(self, tmp_path, item_id):
         """../escaped would write escaped.csv beside the bag directory."""
         bags = [FeatureBag("fine", np.zeros((2, 2)), 0), FeatureBag(item_id, np.zeros((2, 2)), 0)]

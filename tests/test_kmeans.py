@@ -120,20 +120,41 @@ def reference_kmeans_fit(features, K, seed, max_iters):
     return centroids, trace, assignment, starts
 
 
+def first_repeat(starts):
+    """The first iteration that starts from the assignment of an earlier
+    one, or None; starts as reference_kmeans_fit returns them."""
+    seen = set()
+    for iteration, start in enumerate(starts[1:], 1):
+        if start.tobytes() in seen:
+            return iteration
+        seen.add(start.tobytes())
+    return None
+
+
+def reference_kmeans_stop(features, K, seed, max_iters):
+    """reference_kmeans_fit cut at the first repeated assignment: the
+    iterations kmeans_fit computes, and what it must return."""
+    repeat = first_repeat(reference_kmeans_fit(features, K, seed, max_iters)[-1])
+    return reference_kmeans_fit(features, K, seed, min(max_iters, repeat or max_iters))
+
+
+def repeating_rows(seed):
+    """105 rows on 7 distinct points."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(7, 2))[rng.permutation(np.arange(105) % 7)]
+
+
 class TestKmeansReplay:
     """105 rows on 7 distinct points: with K > 7 two centroids coincide, the
     repair moves the same point every iteration, and the loop revisits its
-    assignment without reaching an assignment fixpoint."""
+    assignment without reaching an assignment fixpoint. The fit stops there."""
 
     @pytest.mark.parametrize("K", [8, 12])
     @pytest.mark.parametrize("seed", range(3))
     def test_replay_equals_the_full_loop(self, K, seed, monkeypatch):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(7, 2))[rng.permutation(np.arange(105) % 7)]
-        # The first iteration that starts from the assignment of an earlier one.
-        seen = {}
-        *_, starts = reference_kmeans_fit(points, K, seed, 200)
-        repeat = next(i for i, start in enumerate(starts[1:], 1) if seen.setdefault(start.tobytes(), i) != i)
+        points = repeating_rows(seed)
+        repeat = first_repeat(reference_kmeans_fit(points, K, seed, 200)[-1])
+        assert repeat is not None
         calls = []
         real_nearest = kmeans._nearest
 
@@ -142,15 +163,32 @@ class TestKmeansReplay:
             return real_nearest(features, centroids)
 
         monkeypatch.setattr(kmeans, "_nearest", counted)
-        for max_iters in (*range(1, 6), 200):
-            centroids, trace, assignment, _ = reference_kmeans_fit(points, K, seed, max_iters)
+        for max_iters in (*range(1, repeat + 3), 200):
+            centroids, trace, assignment, _ = reference_kmeans_fit(points, K, seed, min(max_iters, repeat))
             calls.clear()
             model, part = kmeans_fit(points, K, seed=seed, max_iters=max_iters)
             np.testing.assert_array_equal(model.centroids.view(np.uint64), centroids.view(np.uint64))
             assert model.inertia_trace == tuple(trace)
             np.testing.assert_array_equal(part.assignment, assignment)
-            assert len(calls) == min(max_iters, repeat)
-        assert model.iterations_run == 200
+            assert len(calls) == model.iterations_run == min(max_iters, repeat)
+        assert model.iterations_run < 200
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stopped_fits_are_fixpoints_or_repeats(self, seed):
+        """A fit that stops before max_iters stops at an assignment
+        fixpoint or a repeat, so more iterations change nothing: refitting
+        with max_iters = iterations_run + 5 gives the same trace, partition
+        and centroids."""
+        rng = np.random.default_rng(seed)
+        points = repeating_rows(seed) if seed % 2 else random_features(rng, n=60, dim=2)
+        K, max_iters = int(rng.integers(2, 13)), int(rng.integers(2, 12))
+        model, part = kmeans_fit(points, K, seed=seed, max_iters=max_iters)
+        if model.iterations_run == max_iters:
+            return
+        again, part_again = kmeans_fit(points, K, seed=seed, max_iters=model.iterations_run + 5)
+        assert again.inertia_trace == model.inertia_trace
+        np.testing.assert_array_equal(part_again.assignment, part.assignment)
+        np.testing.assert_array_equal(again.centroids.view(np.uint64), model.centroids.view(np.uint64))
 
 
 def tied_grid(rng, n, K, d):
@@ -235,7 +273,7 @@ class TestNearestScreen:
         distinct = rng.integers(-2, 3, size=(int(rng.integers(2, 7)), d)).astype(np.float64)
         points = distinct[rng.integers(distinct.shape[0], size=int(rng.integers(20, 90)))]
         K = int(rng.integers(distinct.shape[0] + 1, min(points.shape[0], 16) + 1))
-        centroids, trace, assignment, _ = reference_kmeans_fit(points, K, seed, 40)
+        centroids, trace, assignment, _ = reference_kmeans_stop(points, K, seed, 40)
         model, part = kmeans_fit(points, K, seed=seed, max_iters=40)
         np.testing.assert_array_equal(model.centroids.view(np.uint64), centroids.view(np.uint64))
         assert model.inertia_trace == tuple(trace)

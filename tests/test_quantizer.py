@@ -16,6 +16,7 @@ from klvq import (
     assign_step,
     estimate_all,
     fit,
+    generate_synthetic,
     init_partition,
     kl_matrix,
     label_distributions,
@@ -420,14 +421,35 @@ class TestFit:
     @pytest.mark.parametrize("seed", range(8))
     def test_converged_fits_are_assignment_fixpoints(self, seed):
         dataset, config = random_fit_instance(seed)
-        model, part, _ = fit(dataset, config)
+        model, part, trace = fit(dataset, config)
         if not model.converged:
-            # A fit that is not at a fixpoint ran until max_iters.
-            assert model.iterations_run == config.max_iters
+            # A fit that is not at a fixpoint ran until max_iters or stopped
+            # at a repeated assignment, where more iterations change nothing.
+            if model.iterations_run < config.max_iters:
+                again = dataclasses.replace(config, max_iters=model.iterations_run + 5)
+                model_again, part_again, trace_again = fit(dataset, again)
+                assert trace_again == trace
+                np.testing.assert_array_equal(part_again.assignment, part.assignment)
+                np.testing.assert_array_equal(
+                    model_again.subset_dists.view(np.uint64), model.subset_dists.view(np.uint64)
+                )
+                assert (model_again.iterations_run, model_again.converged) == (len(trace), False)
             return
         point_dists = estimate_all(dataset, config.knn)
         again = assign_step(point_dists, model.subset_dists)
         np.testing.assert_array_equal(again.assignment, part.assignment)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_paper_fit_on_the_desk_shape_stops_at_its_repeat(self, seed):
+        """The paper's setting (3 classes, 3000 descriptors in 2-d, M = 16,
+        k = 10): the repair sends the fit back to an assignment it held
+        within a few iterations, and the fit reports only the iterations it
+        computed, not max_iters."""
+        _, _, dataset = generate_synthetic(seed, 3, 20, 50, 2, 1.0)
+        config = QuantizerConfig(M=16, knn=KnnConfig(k=10), max_iters=100, seed=seed)
+        model, _, trace = fit(dataset, config)
+        assert not model.converged
+        assert len(trace) == model.iterations_run < config.max_iters
 
     def test_centroid_mode_objective_is_non_increasing(self):
         # Instances screened for strictly positive point distributions, the
@@ -471,8 +493,8 @@ class TestFit:
         [("paper", "random", False), ("centroid", "kmeans", True)],
     )
     def test_final_objective_equals_objective_of_final_partition(self, update_mode, init, converged):
-        # Seed 0 of random_fit_instance's data: the paper fit cycles to
-        # max_iters, the centroid fit reaches a fixpoint.
+        # Seed 0 of random_fit_instance's data: the paper fit stops at a
+        # repeated assignment, the centroid fit reaches a fixpoint.
         dataset, _ = random_fit_instance(0)
         config = QuantizerConfig(
             M=5, knn=KnnConfig(k=6), smoothing=E6, max_iters=30, seed=2,
@@ -526,8 +548,9 @@ def reference_fit(dataset, config):
 
 
 def first_repeat(starts):
-    """(first, repeat): the first iteration that starts from the assignment of
-    an earlier one, and that earlier one; None if no assignment repeats."""
+    """(first, repeat): repeat is the first iteration that starts from the
+    assignment of an earlier iteration, first; None if no assignment
+    repeats. fit computes the iterations before repeat, and stops."""
     seen = {}
     for iteration, assignment in enumerate(starts):
         first = seen.setdefault(assignment.tobytes(), iteration)
@@ -557,10 +580,10 @@ class TestFitOnDistinctRows:
         ids=["-".join(map(str, case[:4])) for case in REFERENCE_CASES],
     )
     def test_equals_per_row_reference_loop(self, M, init, seed, update_mode, period):
-        """fit, which replays a revisited assignment's cycle, equals the loop
-        that computes every iteration: for cycling cases at every max_iters
-        up to two periods past the first repeat, so that runs end before the
-        repeat, on the iteration that detects it and at each phase after."""
+        """fit equals the loop that computes every iteration, cut at the
+        first repeated assignment: for cycling cases at every max_iters up to
+        two periods past the first repeat, so that runs end before the
+        repeat, on the iteration that reaches it and beyond it."""
         dataset = duplicate_rows_dataset(seed)
         config = QuantizerConfig(
             M=M, knn=KnnConfig(k=3), smoothing=E6, max_iters=25, seed=seed,
@@ -579,7 +602,8 @@ class TestFitOnDistinctRows:
             sweep = [*range(1, repeat[1] + 2 * period + 2), config.max_iters]
         for max_iters in sweep:
             short = dataclasses.replace(config, max_iters=max_iters)
-            assignment, trace, converged, _, subset_dists, _ = reference_fit(dataset, short)
+            cut = dataclasses.replace(config, max_iters=min(max_iters, repeat[1]) if repeat else max_iters)
+            assignment, trace, converged, _, subset_dists, _ = reference_fit(dataset, cut)
             model, part, got_trace = fit(dataset, short)
             np.testing.assert_array_equal(part.assignment, assignment)
             np.testing.assert_array_equal(model.subset_dists.view(np.uint64), subset_dists.view(np.uint64))
@@ -588,9 +612,9 @@ class TestFitOnDistinctRows:
 
     def test_kl_work_is_one_row_per_distinct_distribution(self, monkeypatch):
         """fit builds one point table of the U distinct rows and computes KL
-        columns on it once per iteration up to the first repeated assignment,
-        only for the subsets whose distributions changed; codes computes
-        the KL of each distinct query distribution once."""
+        columns on it once per iteration, only for the subsets whose
+        distributions changed, and stops at the first repeated assignment;
+        codes computes the KL of each distinct query distribution once."""
         dataset = duplicate_rows_dataset(3)
         config = QuantizerConfig(M=8, knn=KnnConfig(k=3), smoothing=E6, max_iters=10, seed=3)
         _, repeat = first_repeat(reference_fit(dataset, config)[-1])
@@ -609,7 +633,7 @@ class TestFitOnDistinctRows:
         monkeypatch.setattr(PointTable, "kl", counted_kl)
         model, _, trace = fit(dataset, config)
         distinct = np.unique(estimate_all(dataset, config.knn), axis=0).shape[0]
-        assert distinct < dataset.n and repeat < len(trace)
+        assert distinct < dataset.n and repeat == len(trace) < config.max_iters
         assert tables == [distinct]
         assert [rows for rows, _ in columns] == [distinct] * repeat
         assert columns[0][1] == config.M and sum(m for _, m in columns) < config.M * repeat
