@@ -114,14 +114,21 @@ def smooth(raw_counts: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     smoothed independently. With eps = 0 this is the raw empirical
     frequency; with total = 0 and eps > 0 it falls back to the uniform
     distribution. An all-zero count vector (or row) with eps = 0 is a
-    domain error.
+    domain error. A denominator that overflows to inf is a ParameterError:
+    dividing by it would give a row of zeros, not a distribution.
     """
     counts = np.asarray(raw_counts, dtype=np.float64)
     if counts.ndim not in (1, 2):
         raise ParameterError(f"counts must be a vector or an (M, C) matrix, got shape {counts.shape}")
     if not np.all(np.isfinite(counts) & (counts >= 0)):
         raise ParameterError("counts must be finite and nonnegative")
-    denom = counts.sum(axis=-1, keepdims=True) + config.epsilon * counts.shape[-1]
+    C = counts.shape[-1]
+    with np.errstate(over="ignore"):
+        denom = counts.sum(axis=-1, keepdims=True) + config.epsilon * C
+    if not np.all(np.isfinite(denom)):
+        raise ParameterError(
+            f"smoothing denominator total + epsilon*C overflows with epsilon={config.epsilon!r}, C={C}"
+        )
     if np.any(denom <= 0.0):
         raise DomainError("empty subset with no smoothing")
     return (counts + config.epsilon) / denom

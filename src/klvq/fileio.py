@@ -9,6 +9,9 @@ Every feature table is read by ``_read_table``. Every CSV is written as
 Class indices follow first appearance order in datasets and manifests alike.
 Models are JSON documents carrying a ``format_version`` and a ``kind`` of
 ``klvq`` or ``kmeans``; all reals are serialized at full round-trip precision.
+A model file is the bytes of ``json.dump(payload, indent=2)`` plus a newline,
+but its numeric arrays are formatted by ``_json_array`` a block of rows at a
+time, which skips the encoder's pure-Python path.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -32,8 +35,15 @@ from .quantizer import QuantizerConfig, QuantizerModel
 FORMAT_VERSION = 1
 _MANIFEST_HEADER = ["item_id", "path", "label"]
 _LINE_END = "\r\n"
-# Rows formatted per write by save_dataset, so its Python floats never hold the whole matrix.
+# Rows formatted per write by save_dataset and save_model, so their Python
+# floats never hold the whole matrix.
 _DATASET_BLOCK_ROWS = 4096
+# The opening, the separator between rows and the closing of a vector and of a
+# matrix as the value of a top-level key in json.dump(indent=2)'s layout.
+_JSON_ARRAY_LAYOUT = {
+    1: ("[\n    ", ",\n    ", "\n  ]"),
+    2: ("[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"),
+}
 # A csv quote, or U+001C-U+001F, which loadtxt strips around a number and float() rejects.
 _NOT_CLEAN = '"\x1c\x1d\x1e\x1f'
 
@@ -274,16 +284,45 @@ def load_bags(
     return bags, names
 
 
+def _json_array(array: np.ndarray) -> Iterator[str]:
+    """The text json.dump(indent=2) writes for array.tolist() as the value of a
+    top-level key, one block of _DATASET_BLOCK_ROWS rows at a time. array is a
+    nonempty vector or matrix of finite float64 or of int64, so each number is
+    its repr, as the encoder writes it."""
+    cell = float.__repr__ if array.dtype.kind == "f" else int.__repr__
+    opening, separator, closing = _JSON_ARRAY_LAYOUT[array.ndim]
+    yield opening
+    for start in range(0, array.shape[0], _DATASET_BLOCK_ROWS):
+        block = array[start : start + _DATASET_BLOCK_ROWS].tolist()
+        rows = map(cell, block) if array.ndim == 1 else (",\n      ".join(map(cell, row)) for row in block)
+        if start:
+            yield separator
+        yield separator.join(rows)
+    yield closing
+
+
+def _write_json(handle: TextIO, payload: dict) -> None:
+    """Write json.dump(payload, handle, indent=2) and a newline. Each ndarray
+    value goes through _json_array, every other value through json.dumps; no
+    JSON text holds a raw newline, so indenting it is a replace."""
+    for position, (key, value) in enumerate(payload.items()):
+        handle.write(("," if position else "{") + "\n  " + json.dumps(key) + ": ")
+        if isinstance(value, np.ndarray):
+            handle.writelines(_json_array(value))
+        else:
+            handle.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+    handle.write("\n}\n")
+
+
 def save_model(model: Model, path: str | Path) -> None:
     """Serialize a fitted model to versioned JSON."""
     if isinstance(model, QuantizerModel):
-        config = model.config
         fields = {
             "config": dataclasses.asdict(model.config),
             "class_names": list(model.training_set.class_names),
-            "subset_dists": model.subset_dists.tolist(),
-            "training_features": model.training_set.features.tolist(),
-            "training_labels": model.training_set.labels.tolist(),
+            "subset_dists": model.subset_dists,
+            "training_features": model.training_set.features,
+            "training_labels": model.training_set.labels,
             "final_objective": model.final_objective,
             "iterations_run": model.iterations_run,
             "converged": model.converged,
@@ -292,7 +331,7 @@ def save_model(model: Model, path: str | Path) -> None:
         fields = {
             "config": {"K": model.K},
             "K": model.K,
-            "centroids": model.centroids.tolist(),
+            "centroids": model.centroids,
             "inertia": model.inertia,
             "iterations_run": model.iterations_run,
             "inertia_trace": list(model.inertia_trace),
@@ -301,8 +340,7 @@ def save_model(model: Model, path: str | Path) -> None:
         raise ParameterError(f"cannot save model of type {type(model).__name__}")
     payload = {"format_version": FORMAT_VERSION, "kind": model.kind, **fields}
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        _write_json(handle, payload)
 
 
 def load_model(path: str | Path) -> Model:

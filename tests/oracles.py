@@ -6,6 +6,9 @@ implementation under test.
 """
 
 import csv
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -157,3 +160,37 @@ def oracle_write_csv(path, header, rows):
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def oracle_model_payload(model):
+    """The document save_model writes, with every array as its tolist()."""
+    if model.kind == "klvq":
+        fields = {
+            "config": dataclasses.asdict(model.config),
+            "class_names": list(model.training_set.class_names),
+            "subset_dists": model.subset_dists.tolist(),
+            "training_features": model.training_set.features.tolist(),
+            "training_labels": model.training_set.labels.tolist(),
+            "final_objective": model.final_objective,
+            "iterations_run": model.iterations_run,
+            "converged": model.converged,
+        }
+    else:
+        fields = {
+            "config": {"K": model.K},
+            "K": model.K,
+            "centroids": model.centroids.tolist(),
+            "inertia": model.inertia,
+            "iterations_run": model.iterations_run,
+            "inertia_trace": list(model.inertia_trace),
+        }
+    return {"format_version": 1, "kind": model.kind, **fields}
+
+
+def oracle_model_json(model):
+    """A model file as the standard library writes it: the payload passed to
+    json.dump(..., indent=2), then a newline. save_model must write the same
+    bytes."""
+    buffer = io.StringIO()
+    json.dump(oracle_model_payload(model), buffer, indent=2)
+    return buffer.getvalue() + "\n"

@@ -79,6 +79,19 @@ class TestFitCommand:
         assert f"epsilon must be a finite real number, got {epsilon}" in err
         assert not model_path.exists()
 
+    def test_epsilon_that_overflows_the_smoothing_exits_one_naming_it(self, dataset_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "fit", "--input", dataset_csv, "--subsets", 2, "--epsilon", "1e308",
+                "--output", model_path,
+            )
+        assert (code, out) == (1, "")
+        assert "epsilon=1e+308, C=2" in err
+        assert "unsmoothed zero" not in err
+        assert not model_path.exists()
+
     def test_byte_identical_reruns(self, dataset_csv, tmp_path, capsys):
         args = (
             "fit", "--input", dataset_csv, "--subsets", 4, "--knn", 6,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -134,6 +135,32 @@ class TestSmooth:
     def test_non_finite_or_non_real_epsilon_raises(self, epsilon):
         with pytest.raises(ParameterError, match="epsilon must be a finite real number"):
             SmoothingConfig(epsilon)
+
+    @pytest.mark.parametrize(
+        "counts, epsilon",
+        [
+            ([[3.0, 0.0]], 1e308),
+            ([3.0, 0.0], 1e308),
+            ([[1.0, 2.0], [0.0, 0.0]], 1e308),
+            ([0.0, 0.0, 0.0], 6e307),
+            ([1e308, 1e308], 0.0),
+        ],
+    )
+    def test_overflowing_denominator_raises_naming_epsilon_and_C(self, counts, epsilon):
+        """Dividing by an infinite denominator gave rows of zeros, which later
+        failed as an unsmoothed zero in a reference distribution."""
+        C = np.shape(counts)[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=re.escape(f"overflows with epsilon={epsilon!r}, C={C}")):
+                smooth(np.array(counts), SmoothingConfig(epsilon))
+
+    @pytest.mark.parametrize("epsilon", [1e300, 1e307, 5e307, 5.9e307])
+    def test_finite_denominators_are_smoothed_as_before(self, epsilon):
+        counts = np.array([[3.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        denom = counts.sum(axis=1, keepdims=True) + epsilon * 3
+        assert np.all(np.isfinite(denom))
+        np.testing.assert_array_equal(smooth(counts, SmoothingConfig(epsilon)), (counts + epsilon) / denom)
 
     def test_output_is_a_distribution_for_random_counts(self):
         rng = np.random.default_rng(5)

@@ -1,21 +1,25 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_read_table, oracle_write_csv
+from oracles import oracle_model_json, oracle_model_payload, oracle_read_table, oracle_write_csv
 
 from klvq import (
     DatasetFormatError,
     FeatureBag,
+    KmeansModel,
     KnnConfig,
     LabeledDataset,
     ModelFormatError,
     ParameterError,
     QuantizerConfig,
+    QuantizerModel,
     SmoothingConfig,
     fit,
     generate_synthetic,
@@ -27,6 +31,7 @@ from klvq import (
     save_bags,
     save_dataset,
     save_model,
+    smooth,
 )
 from klvq import fileio
 from klvq.cli import cli
@@ -576,3 +581,88 @@ def test_save_synthetic_rejects_unsafe_ids_before_any_write(tmp_path):
     with pytest.raises(ParameterError, match="not a plain file name"):
         fileio.save_synthetic(tmp_path / "out", train_bags, test_bags, dataset.class_names)
     assert list(tmp_path.iterdir()) == []
+
+
+# Reals at the edges of repr: signed zero, the smallest subnormal and normal,
+# the switch to exponent notation at both ends, a fraction with no short
+# binary form, a long integer and the largest finite magnitude.
+MODEL_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1e16, 123456789.0, 1.7976931348623157e308]
+NONNEGATIVE = st.one_of(st.sampled_from(MODEL_FLOATS[1:]), st.floats(0, 1e300))
+# Class names that json escapes: non-ASCII (two- and four-byte UTF-8), a quote,
+# a backslash, a comma and a newline.
+MODEL_NAMES = st.text(alphabet='aé☃𝄞"\\,\n', max_size=3)
+
+
+@st.composite
+def saved_models(draw):
+    """(block, model): a klvq or k-means model whose row count is block - 1,
+    block or block + 1, for _DATASET_BLOCK_ROWS patched to block."""
+    block = draw(st.integers(1, 3))
+    n = max(1, block + draw(st.sampled_from([-1, 0, 1])))
+    dim = draw(st.sampled_from([1, 16]))
+    cells = st.one_of(st.sampled_from(MODEL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    features = np.array(draw(st.lists(cells, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    if draw(st.booleans()):
+        return block, KmeansModel(features, tuple(draw(st.lists(NONNEGATIVE, min_size=1, max_size=3))))
+    names = draw(st.lists(MODEL_NAMES, min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n))
+    M = draw(st.integers(1, n + 1))
+    counts = np.array(draw(st.lists(st.integers(0, 9), min_size=M * len(names), max_size=M * len(names))))
+    epsilon = draw(st.sampled_from([1e-6, 0.1, 1e-05, 123456789.0]))
+    config = QuantizerConfig(
+        M=M,
+        knn=KnnConfig(k=draw(st.integers(1, n)), include_self=draw(st.booleans())),
+        smoothing=SmoothingConfig(epsilon),
+        max_iters=3,
+        seed=draw(st.integers(0, 2**40)),
+        init=draw(st.sampled_from(["random", "kmeans"])),
+        update_mode=draw(st.sampled_from(["paper", "centroid"])),
+    )
+    model = QuantizerModel(
+        subset_dists=smooth(counts.reshape(M, len(names)), config.smoothing),
+        config=config,
+        training_set=LabeledDataset(features, labels, tuple(names)),
+        final_objective=draw(NONNEGATIVE),
+        iterations_run=draw(st.integers(1, 3)),
+        converged=draw(st.booleans()),
+    )
+    return block, model
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=saved_models())
+def test_save_model_writes_what_json_dump_writes(case):
+    block, model = case
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(fileio, "_DATASET_BLOCK_ROWS", block):
+        save_model(model, Path(root, "model.json"))
+        assert Path(root, "model.json").read_bytes() == oracle_model_json(model).encode("utf-8")
+
+
+def test_save_model_holds_less_memory_than_json_dump(tmp_path):
+    """The writer formats a block of rows at a time; the stdlib path holds
+    every cell as a Python float at once, which raised peak memory and could
+    slow the commands that follow (see save_dataset)."""
+    rng = np.random.default_rng(0)
+    names = tuple(f"class_{c}" for c in range(8))
+    dataset = LabeledDataset(rng.normal(size=(20_000, 16)), rng.integers(0, 8, 20_000), names)
+    config = QuantizerConfig(M=16, knn=KnnConfig(k=10), smoothing=SmoothingConfig(1e-6))
+    subset_dists = smooth(rng.integers(0, 50, size=(16, 8)), config.smoothing)
+    model = QuantizerModel(subset_dists, config, dataset, 1.0, 1, True)
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def stdlib_write():
+        with open(tmp_path / "want.json", "w", encoding="utf-8") as handle:
+            json.dump(oracle_model_payload(model), handle, indent=2)
+            handle.write("\n")
+
+    got = peak(lambda: save_model(model, tmp_path / "got.json"))
+    want = peak(stdlib_write)
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert got < 0.75 * want, (got, want)
