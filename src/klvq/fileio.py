@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import math
+import threading
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -188,14 +189,18 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     return _read_table(Path(path), label=None)[0]
 
 
-def _check_bags(bags: Sequence[FeatureBag]) -> None:
+def _check_bags(bags: Sequence[FeatureBag], class_names: Sequence[str]) -> None:
     """Raise ParameterError for a bag that save_bags cannot store: one without
-    a label, or whose item_id repeats another's, is not a plain file name, or
-    names the manifest."""
+    a label or whose label has no class name, or whose item_id repeats
+    another's, is not a plain file name, or names the manifest."""
     seen = set()
     for bag in bags:
         if bag.label is None:
             raise ParameterError(f"item {bag.item_id!r} has no label to store")
+        if bag.label >= len(class_names):
+            raise ParameterError(
+                f"item {bag.item_id!r} has label {bag.label}, but only {len(class_names)} class names are given"
+            )
         item_id = str(bag.item_id)
         if any(char in item_id for char in "/\\\0") or item_id in (".", ".."):
             raise ParameterError(f"item id {bag.item_id!r} is not a plain file name")
@@ -231,8 +236,8 @@ def save_bags(bags: Sequence[FeatureBag], directory: str | Path, class_names: Se
     """Write one descriptor CSV per bag plus the manifest.csv index. Raises
     ParameterError, before writing any file, for a bag without a label and for
     an item_id that repeats, is not a plain file name (it holds /, \\ or a
-    NUL byte, or is . or ..) or is manifest."""
-    _check_bags(bags)
+    NUL byte, or is . or ..) or is manifest, and for a label with no class name."""
+    _check_bags(bags, class_names)
     _write_bags(bags, Path(directory), class_names)
 
 
@@ -247,16 +252,47 @@ def save_synthetic(
     order with each row labeled by its bag's class. That pooled file is
     byte for byte save_dataset of generate_synthetic's dataset, but each row
     is formatted once, for its bag file and the pooled file together, one bag
-    at a time. The train bags share the first one's dimension, as
-    generate_synthetic's do."""
-    _check_bags(train_bags)
-    _check_bags(test_bags)
+    at a time.
+
+    The test directory is written by a second thread while this one writes
+    descriptors.csv and the train directory: each thread formats and writes
+    its own files, so one formats while the other waits in the kernel to
+    create a file. The files are the same whichever finishes first. The
+    worker is joined on every path; then the train side's error is raised if
+    there is one, else the test side's. Raises ParameterError, before writing
+    any file, for any bag save_bags rejects, and when train_bags is empty or
+    its bags differ in dimension."""
+    _check_bags(train_bags, class_names)
+    _check_bags(test_bags, class_names)
+    if not train_bags:
+        raise ParameterError("no train bags to pool into descriptors.csv")
+    dim = train_bags[0].descriptors.shape[1]
+    for bag in train_bags:
+        if bag.descriptors.shape[1] != dim:
+            raise ParameterError(
+                f"train item {bag.item_id!r} has dimension {bag.descriptors.shape[1]}, "
+                f"but item {train_bags[0].item_id!r} has {dim}"
+            )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "descriptors.csv", "w", encoding="utf-8", newline="") as pooled:
-        pooled.write(",".join(_feature_header(train_bags[0].descriptors.shape[1]) + ["label"]) + _LINE_END)
-        _write_bags(train_bags, directory / "train", class_names, pooled)
-    _write_bags(test_bags, directory / "test", class_names)
+    test_errors: list[BaseException] = []
+
+    def write_test() -> None:
+        try:
+            _write_bags(test_bags, directory / "test", class_names)
+        except BaseException as exc:
+            test_errors.append(exc)
+
+    worker = threading.Thread(target=write_test)
+    worker.start()
+    try:
+        with open(directory / "descriptors.csv", "w", encoding="utf-8", newline="") as pooled:
+            pooled.write(",".join(_feature_header(dim) + ["label"]) + _LINE_END)
+            _write_bags(train_bags, directory / "train", class_names, pooled)
+    finally:
+        worker.join()
+    if test_errors:
+        raise test_errors[0]
 
 
 def load_bags(

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -581,6 +582,101 @@ def test_save_synthetic_rejects_unsafe_ids_before_any_write(tmp_path):
     with pytest.raises(ParameterError, match="not a plain file name"):
         fileio.save_synthetic(tmp_path / "out", train_bags, test_bags, dataset.class_names)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_label_without_a_class_name_is_rejected_before_any_write(tmp_path):
+    """The manifest would need class_names[3]: the directory was made, then IndexError."""
+    with pytest.raises(ParameterError, match="item 'a' has label 3, but only 1 class names are given"):
+        save_bags([FeatureBag("a", np.ones((2, 2)), 3)], tmp_path / "bags", ("c",))
+    train_bags, test_bags, dataset = generate_synthetic(1, 2, 2, 3, 2, 0.5)
+    test_bags[-1] = FeatureBag("odd", test_bags[-1].descriptors, 2)
+    with pytest.raises(ParameterError, match="item 'odd' has label 2, but only 2 class names"):
+        fileio.save_synthetic(tmp_path / "out", train_bags, test_bags, dataset.class_names)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_synthetic_rejects_train_bags_it_cannot_pool_before_any_write(tmp_path):
+    """descriptors.csv has one header: train bags of d = 2 and d = 3 wrote rows
+    of 3 feature cells under f1,f2,label, and no train bags raised IndexError."""
+    bags = [FeatureBag("a", np.ones((2, 2)), 0), FeatureBag("b", np.ones((2, 3)), 0)]
+    with pytest.raises(ParameterError, match="train item 'b' has dimension 3, but item 'a' has 2"):
+        fileio.save_synthetic(tmp_path / "out", bags, [], ("c",))
+    with pytest.raises(ParameterError, match="no train bags"):
+        fileio.save_synthetic(tmp_path / "out", [], bags[:1], ("c",))
+    assert list(tmp_path.iterdir()) == []
+
+
+def synth_files(train_bags, dataset, directory, test_bags=None):
+    """What the oracles write for save_synthetic; without test_bags, no test directory."""
+    oracle_save_bags(train_bags, directory / "train", dataset.class_names)
+    if test_bags is not None:
+        oracle_save_bags(test_bags, directory / "test", dataset.class_names)
+    oracle_save_dataset(directory / "descriptors.csv", dataset)
+    return file_bytes(directory)
+
+
+@pytest.mark.parametrize("first", ["train", "test"])
+def test_synthetic_files_do_not_depend_on_which_directory_is_written_first(tmp_path, monkeypatch, first):
+    """The directory not named first waits, at its first file, until every
+    file of the other one is written, so each order of the two threads runs."""
+    train_bags, test_bags, dataset = generate_synthetic(3, 3, 4, 5, 2, 0.5)
+    count = len(train_bags if first == "train" else test_bags) + 1  # and the manifest
+    written, first_done = [], threading.Event()
+    write_text = fileio._write_text
+
+    def ordered_write_text(path, text):
+        if path.parent.name != first:
+            assert first_done.wait(timeout=30)
+        write_text(path, text)
+        written.append(path.parent.name)
+        if written.count(first) == count:
+            first_done.set()
+
+    monkeypatch.setattr(fileio, "_write_text", ordered_write_text)
+    threads = threading.active_count()
+    fileio.save_synthetic(tmp_path / "got", train_bags, test_bags, dataset.class_names)
+    assert threading.active_count() == threads
+    assert written[:count] == [first] * count and first not in written[count:]
+    assert file_bytes(tmp_path / "got") == synth_files(train_bags, dataset, tmp_path / "want", test_bags)
+
+
+def test_a_file_at_train_raises_the_train_sides_error(tmp_path, capsys):
+    """The error is the one the single-threaded writer raised, and the CLI
+    prints the same io error; the test directory is still written."""
+    train_bags, test_bags, dataset = generate_synthetic(2, 2, 3, 4, 2, 0.5)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "train").write_text("not a directory", encoding="utf-8")
+    with pytest.raises(FileExistsError) as expected:
+        (out / "train").mkdir(parents=True, exist_ok=True)
+    threads = threading.active_count()
+    with pytest.raises(FileExistsError) as raised:
+        fileio.save_synthetic(out, train_bags, test_bags, dataset.class_names)
+    assert threading.active_count() == threads
+    assert str(raised.value) == str(expected.value)
+    oracle_save_bags(test_bags, tmp_path / "want", dataset.class_names)
+    assert file_bytes(out / "test") == file_bytes(tmp_path / "want")
+    argv = ["synth", "--seed", "2", "--classes", "2", "--items-per-class", "3", "--descriptors", "4", "--dim", "2",
+            "--noise", "0.5", "--out-dir", str(out)]
+    capsys.readouterr()
+    assert cli(argv) == 1
+    assert capsys.readouterr().err == f"io error: {expected.value}\n"
+
+
+def test_a_file_at_test_raises_its_error_after_the_train_side_finishes(tmp_path):
+    train_bags, test_bags, dataset = generate_synthetic(2, 2, 3, 4, 2, 0.5)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "test").write_text("not a directory", encoding="utf-8")
+    with pytest.raises(FileExistsError) as expected:
+        (out / "test").mkdir(parents=True, exist_ok=True)
+    threads = threading.active_count()
+    with pytest.raises(FileExistsError) as raised:
+        fileio.save_synthetic(out, train_bags, test_bags, dataset.class_names)
+    assert threading.active_count() == threads
+    assert str(raised.value) == str(expected.value)
+    (out / "test").unlink()
+    assert file_bytes(out) == synth_files(train_bags, dataset, tmp_path / "want")
 
 
 # Reals at the edges of repr: signed zero, the smallest subnormal and normal,

@@ -3,6 +3,9 @@
 The modules form an acyclic import graph, every import sits at module
 level, no import is hidden behind ``TYPE_CHECKING``, and only ``fileio``
 imports ``csv`` or ``json``, so the file formats stay behind one module.
+No module imports ``concurrent`` or ``multiprocessing``: a thread comes only
+from ``threading``, which numpy already loads, so ``klvq`` adds nothing to
+the CLI's start-up imports for it.
 Besides the package itself, the modules import only the standard library
 and numpy: numpy is the one dependency. Every file is opened with an
 explicit encoding, so the locale never picks the codec.
@@ -95,6 +98,12 @@ def absolute_imports(tree):
 def test_only_fileio_reads_file_formats(name):
     for lineno, found in absolute_imports(MODULES[name]):
         assert name == "fileio" or not found & {"csv", "json"}, f"{name}.py:{lineno} imports {found}"
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_threads_come_only_from_threading(name):
+    for lineno, found in absolute_imports(MODULES[name]):
+        assert not found & {"concurrent", "multiprocessing"}, f"{name}.py:{lineno} imports {found}"
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
