@@ -1,7 +1,6 @@
 """Supervised vector quantization by KL-divergence minimization."""
 
 from .bof import (
-    BofHistogram,
     EvalReport,
     FeatureBag,
     build_histogram,
@@ -49,7 +48,6 @@ from .quantizer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BofHistogram",
     "DatasetFormatError",
     "DomainError",
     "EvalReport",

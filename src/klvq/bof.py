@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .label_model import LabeledDataset, real_matrix, require_int, require_real
+from .label_model import BLOCK_CELLS, LabeledDataset, real_matrix, require_int, require_int_array, require_real
 
 DISTANCES = ("l1", "l2")
 
@@ -45,28 +45,6 @@ class FeatureBag:
     @property
     def size(self) -> int:
         return self.descriptors.shape[0]
-
-
-@dataclass(frozen=True)
-class BofHistogram:
-    """Counts of an item's descriptors per quantization subset."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0) or counts.sum() < 1:
-            raise ParameterError("counts must be a nonnegative vector with a positive total")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def M(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def normalized(self) -> np.ndarray:
-        """Each subset's share of the item's descriptors."""
-        return self.counts / self.counts.sum()
 
 
 @dataclass(frozen=True)
@@ -100,59 +78,58 @@ class EvalReport:
 CodesFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _checked_codes(codes_fn: CodesFn, descriptors: np.ndarray, M: int) -> np.ndarray:
-    """codes_fn over a (P, d) descriptor matrix, checked to be P indices in [0, M)."""
-    if M < 1:
-        raise ParameterError(f"M must be >= 1, got {M}")
-    codes = np.asarray(codes_fn(descriptors))
-    if codes.shape != (descriptors.shape[0],) or not np.issubdtype(codes.dtype, np.integer):
-        raise ParameterError(
-            f"codes_fn must return {descriptors.shape[0]} integer codes, got {codes.dtype} {codes.shape}"
-        )
-    if codes.min() < 0 or codes.max() >= M:
-        raise ParameterError(f"codes_fn produced an index outside [0, {M})")
-    return codes
+def build_histogram(codes: np.ndarray, sizes: Sequence[int], M: int) -> np.ndarray:
+    """(B, M) int64 counts of the codes of B bags, bag b owning the next sizes[b] codes.
 
-
-def build_histogram(bag: FeatureBag, codes_fn: CodesFn, M: int) -> BofHistogram:
-    """Tally the codes of the bag's descriptors into an M-bin histogram.
-
-    codes_fn maps a (P, d) descriptor matrix to its (P,) subset indices,
-    such as a fitted model's codes method.
+    codes holds the subset indices of all bags' descriptors, bag after bag,
+    such as one call of a fitted model's codes method on the stacked bags.
     """
-    return BofHistogram(np.bincount(_checked_codes(codes_fn, bag.descriptors, M), minlength=M))
-
-
-def _nearest_label(train: np.ndarray, labels: Sequence[int], query: np.ndarray, distance: str) -> int:
-    """Label of the row of train nearest to query; ties go to the lowest row."""
-    diff = train - query
-    if distance == "l1":
-        dists = np.abs(diff).sum(axis=1)
-    else:
-        dists = np.sqrt((diff**2).sum(axis=1))
-    return labels[int(np.argmin(dists))]
+    if require_int(M, "M") < 1:
+        raise ParameterError(f"M must be >= 1, got {M}")
+    sizes = require_int_array(sizes, "sizes")
+    if sizes.ndim != 1 or np.any(sizes < 1):
+        raise ParameterError("sizes must be a vector of positive bag sizes")
+    codes = np.asarray(codes)
+    if codes.shape != (sizes.sum(),) or not np.issubdtype(codes.dtype, np.integer):
+        raise ParameterError(f"codes must be {sizes.sum()} integer codes, got {codes.dtype} {codes.shape}")
+    if codes.size and (codes.min() < 0 or codes.max() >= M):
+        raise ParameterError(f"codes hold an index outside [0, {M})")
+    owner = np.repeat(np.arange(sizes.shape[0]), sizes)
+    return np.bincount(owner * M + codes.astype(np.int64, copy=False), minlength=sizes.shape[0] * M).reshape(-1, M)
 
 
 def classify_1nn(
-    train_histograms: Sequence[tuple[BofHistogram, int]],
-    query: BofHistogram,
+    train: np.ndarray,
+    train_labels: Sequence[int],
+    queries: np.ndarray,
     distance: str = "l1",
-) -> int:
-    """Label of the nearest training histogram under L1 or L2 distance.
+) -> np.ndarray:
+    """(Q,) labels of each query row's nearest training row under L1 or L2 distance.
 
-    Distances are taken between normalized histograms; ties go to the lowest
-    training index.
+    train (N, M) and queries (Q, M) hold normalized histograms, one per row;
+    ties go to the lowest training row. Queries are compared in blocks of
+    BLOCK_CELLS // train.size rows.
     """
     if distance not in DISTANCES:
         raise ParameterError(f"distance must be one of {DISTANCES}, got {distance!r}")
-    if not train_histograms:
-        raise ParameterError("at least one training histogram is required")
-    train = np.stack([h.normalized for h, _ in train_histograms])
-    if train.shape[1] != query.M:
+    train, queries = real_matrix(train, "train"), real_matrix(queries, "queries")
+    labels = require_int_array(train_labels, "train_labels")
+    if labels.shape != train.shape[:1]:
+        raise ParameterError(f"train_labels must hold one label per training row, got {labels.shape}")
+    if train.shape[1] != queries.shape[1]:
         raise ParameterError(
-            f"histogram length mismatch: train has {train.shape[1]} bins, query has {query.M}"
+            f"histogram length mismatch: train has {train.shape[1]} bins, queries have {queries.shape[1]}"
         )
-    return _nearest_label(train, [label for _, label in train_histograms], query.normalized, distance)
+    step = max(1, BLOCK_CELLS // train.size)
+    nearest = np.empty(queries.shape[0], dtype=np.int64)
+    for start in range(0, queries.shape[0], step):
+        diff = train - queries[start : start + step, None]
+        if distance == "l1":
+            dists = np.abs(diff).sum(axis=2)
+        else:
+            dists = np.sqrt((diff**2).sum(axis=2))
+        nearest[start : start + step] = np.argmin(dists, axis=1)
+    return labels[nearest]
 
 
 def evaluate(
@@ -166,12 +143,10 @@ def evaluate(
     """Histogram every bag, 1-NN classify the test bags, tally the confusion.
 
     codes_fn is called once, on the descriptors of all bags stacked, so
-    every bag must have the first bag's descriptor dimension. The
-    histograms equal build_histogram's, and each test bag gets the label
-    classify_1nn gives it.
+    every bag must have the first bag's descriptor dimension. build_histogram
+    counts the codes, and classify_1nn labels the test bags' normalized
+    histograms against the training bags' ones.
     """
-    if distance not in DISTANCES:
-        raise ParameterError(f"distance must be one of {DISTANCES}, got {distance!r}")
     if not train_bags or not test_bags:
         raise ParameterError("train and test bag sets must both be nonempty")
     bags = (*train_bags, *test_bags)
@@ -184,17 +159,15 @@ def evaluate(
                 f"item {bag.item_id!r} has descriptor dimension {bag.descriptors.shape[1]}, "
                 f"the first item {bags[0].item_id!r} has {dim}"
             )
-    num_classes = max(bag.label for bag in bags) + 1
+    labels = np.array([bag.label for bag in bags])
     sizes = np.array([bag.size for bag in bags])
-    codes = _checked_codes(codes_fn, np.vstack([bag.descriptors for bag in bags]), M)
-    owner = np.repeat(np.arange(len(bags)), sizes)
-    counts = np.bincount(owner * M + codes, minlength=len(bags) * M).reshape(len(bags), M)
+    counts = build_histogram(codes_fn(np.vstack([bag.descriptors for bag in bags])), sizes, M)
     normalized = counts / sizes[:, None]
-    train, train_labels = normalized[: len(train_bags)], [bag.label for bag in train_bags]
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for bag, histogram in zip(test_bags, normalized[len(train_bags) :]):
-        confusion[bag.label, _nearest_label(train, train_labels, histogram, distance)] += 1
-    return EvalReport(confusion=confusion, quantizer_tag=quantizer_tag)
+    n = len(train_bags)
+    predicted = classify_1nn(normalized[:n], labels[:n], normalized[n:], distance)
+    num_classes = labels.max() + 1
+    confusion = np.bincount(labels[n:] * num_classes + predicted, minlength=num_classes**2)
+    return EvalReport(confusion=confusion.reshape(num_classes, num_classes), quantizer_tag=quantizer_tag)
 
 
 def class_mode_layout(
@@ -212,6 +185,7 @@ def class_mode_layout(
     """
     if require_int(num_classes, "num_classes") < 1 or require_int(dim, "dim") < 1:
         raise ParameterError("num_classes and dim must be >= 1")
+    separation = require_real(separation, "separation")
     modes = np.zeros((num_classes, dim))
     if num_classes == 1:
         pass
@@ -260,7 +234,7 @@ def generate_synthetic(
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if require_real(noise, "noise") < 0:
         raise ParameterError(f"noise must be >= 0, got {noise}")
-    if not 0.0 <= background_rate <= 1.0:
+    if not 0.0 <= require_real(background_rate, "background_rate") <= 1.0:
         raise ParameterError(f"background_rate must lie in [0, 1], got {background_rate}")
     modes, background = class_mode_layout(num_classes, dim)
     rng = np.random.default_rng(seed)

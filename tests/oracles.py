@@ -115,6 +115,27 @@ def oracle_broadcast_nearest(features, centroids):
     return np.argmin(((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1)
 
 
+def oracle_evaluate(train_bags, test_bags, codes_fn, M, distance):
+    """Confusion matrix of the per-bag bag-of-features path: each bag's codes
+    counted on their own and divided by their total, and each test bag, one
+    at a time, given the label of the training histogram at the least L1 or
+    L2 distance, lowest training index on ties. Distances are summed along
+    the contiguous bin axis of an (N, M) difference matrix."""
+
+    def normalized(bag):
+        counts = np.bincount(codes_fn(bag.descriptors), minlength=M)
+        return counts / counts.sum()
+
+    train = np.stack([normalized(bag) for bag in train_bags])
+    num_classes = max(bag.label for bag in (*train_bags, *test_bags)) + 1
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for bag in test_bags:
+        diff = train - normalized(bag)
+        dists = np.abs(diff).sum(axis=1) if distance == "l1" else np.sqrt((diff**2).sum(axis=1))
+        confusion[bag.label, train_bags[int(np.argmin(dists))].label] += 1
+    return confusion
+
+
 def oracle_read_table(path, label, rows_name="data"):
     """The feature-table reader as one csv.reader pass and a float() call per
     cell: the (N, d) matrix and the N label cells, or DatasetFormatError

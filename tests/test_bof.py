@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from klvq import (
-    BofHistogram,
     FeatureBag,
     KnnConfig,
     ParameterError,
@@ -17,6 +16,9 @@ from klvq import (
     generate_synthetic,
     kmeans_fit,
 )
+from klvq import bof
+
+from oracles import oracle_evaluate
 
 
 def bag_of(values, label=None, item_id="item"):
@@ -28,73 +30,102 @@ def first_column(descriptors):
     return descriptors[:, 0].astype(np.int64)
 
 
-def histogram(counts):
-    return BofHistogram(counts=np.asarray(counts))
+def normalized(counts):
+    """Each row of counts divided by its total, as evaluate normalizes a histogram."""
+    counts = np.atleast_2d(counts)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 class TestBuildHistogram:
     def test_all_descriptors_in_one_subset(self):
-        got = build_histogram(bag_of([2, 2, 2]), first_column, 4)
-        assert got.counts.tolist() == [0, 0, 3, 0]
-        np.testing.assert_allclose(got.normalized, [0, 0, 1, 0])
+        got = build_histogram([2, 2, 2], [3], 4)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[0, 0, 3, 0]]
+        np.testing.assert_allclose(normalized(got), [[0, 0, 1, 0]])
 
     def test_mixed_tally(self):
-        got = build_histogram(bag_of([0, 1, 1, 3]), first_column, 4)
-        assert got.counts.tolist() == [1, 2, 0, 1]
+        got = build_histogram([0, 1, 1, 3], [4], 4)
+        assert got.tolist() == [[1, 2, 0, 1]]
 
     def test_single_descriptor_is_one_hot(self):
-        got = build_histogram(bag_of([1]), first_column, 3)
-        assert got.counts.tolist() == [0, 1, 0]
-        assert got.normalized.sum() == 1.0
+        got = build_histogram([1], [1], 3)
+        assert got.tolist() == [[0, 1, 0]]
+        assert normalized(got).sum() == 1.0
 
     def test_counts_conserve_bag_size(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             size = int(rng.integers(1, 60))
             M = int(rng.integers(1, 9))
-            bag = bag_of(rng.integers(0, M, size=size))
-            got = build_histogram(bag, first_column, M)
-            assert got.counts.sum() == size
-            assert got.normalized.sum() == pytest.approx(1.0, abs=1e-12)
+            got = build_histogram(rng.integers(0, M, size=size), [size], M)
+            assert got.sum() == size
+            assert normalized(got).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_row_counts_its_own_bag(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            M = int(rng.integers(1, 9))
+            sizes = rng.integers(1, 12, size=int(rng.integers(1, 6)))
+            codes = rng.integers(0, M, size=sizes.sum())
+            got = build_histogram(codes, sizes, M)
+            bounds = np.cumsum(sizes)[:-1]
+            want = [np.bincount(part, minlength=M) for part in np.split(codes, bounds)]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got.sum(axis=1), sizes)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
+    def test_every_integer_dtype_counts_alike(self, dtype):
+        got = build_histogram(np.array([0, 1, 1, 2], dtype=dtype), [1, 3], 3)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[1, 0, 0], [0, 2, 1]]
 
     def test_out_of_range_index_raises(self):
         with pytest.raises(ParameterError):
-            build_histogram(bag_of([5]), first_column, 4)
+            build_histogram([5], [1], 4)
+
+    @pytest.mark.parametrize(
+        "codes, sizes",
+        [([0, 1], [1]), ([0.0], [1]), ([[0]], [1]), ([0, 1], [2, 0]), ([0, 1], [[2]]), ([0, 1], [1.0, 1.0])],
+    )
+    def test_malformed_codes_or_sizes_raise(self, codes, sizes):
+        with pytest.raises(ParameterError):
+            build_histogram(np.array(codes), sizes, 2)
 
 
 class TestClassify1nn:
     def test_identical_histogram_wins(self):
-        train = [(histogram([3, 1]), 0), (histogram([1, 3]), 1)]
-        assert classify_1nn(train, histogram([3, 1])) == 0
-        assert classify_1nn(train, histogram([1, 3])) == 1
+        train = normalized([[3, 1], [1, 3]])
+        assert classify_1nn(train, [0, 1], normalized([[3, 1], [1, 3]])).tolist() == [0, 1]
 
     def test_single_training_histogram_always_wins(self):
-        train = [(histogram([1, 0, 0]), 2)]
-        for counts in ([0, 0, 5], [1, 1, 1], [4, 0, 4]):
-            assert classify_1nn(train, histogram(counts)) == 2
+        train = normalized([1, 0, 0])
+        queries = normalized([[0, 0, 5], [1, 1, 1], [4, 0, 4]])
+        assert classify_1nn(train, [2], queries).tolist() == [2, 2, 2]
 
     def test_l1_hand_example(self):
-        train = [(histogram([1, 0]), 0), (histogram([0, 1]), 1)]
-        query = histogram([3, 2])  # normalized (0.6, 0.4): distances 0.8 vs 1.2
-        assert classify_1nn(train, query, "l1") == 0
+        train = normalized([[1, 0], [0, 1]])
+        query = normalized([3, 2])  # (0.6, 0.4): distances 0.8 vs 1.2
+        assert classify_1nn(train, [0, 1], query, "l1").tolist() == [0]
 
     def test_l2_distance_mode(self):
-        train = [(histogram([1, 0]), 0), (histogram([0, 1]), 1)]
-        assert classify_1nn(train, histogram([1, 4]), "l2") == 1
+        train = normalized([[1, 0], [0, 1]])
+        assert classify_1nn(train, [0, 1], normalized([1, 4]), "l2").tolist() == [1]
 
     def test_tie_breaks_to_lowest_training_index(self):
-        train = [(histogram([1, 1]), 5), (histogram([1, 1]), 7)]
-        assert classify_1nn(train, histogram([1, 1])) == 5
+        train = normalized([[1, 1], [1, 1]])
+        assert classify_1nn(train, [5, 7], normalized([1, 1])).tolist() == [5]
 
     def test_bin_count_mismatch_raises(self):
-        train = [(histogram([1, 0]), 0)]
         with pytest.raises(ParameterError):
-            classify_1nn(train, histogram([1, 0, 0]))
+            classify_1nn(normalized([1, 0]), [0], normalized([1, 0, 0]))
 
     def test_unknown_distance_raises(self):
-        train = [(histogram([1, 0]), 0)]
         with pytest.raises(ParameterError):
-            classify_1nn(train, histogram([1, 0]), "cosine")
+            classify_1nn(normalized([1, 0]), [0], normalized([1, 0]), "cosine")
+
+    def test_one_label_per_training_row_is_required(self):
+        with pytest.raises(ParameterError, match="^train_labels must hold one label per training row"):
+            classify_1nn(normalized([[1, 0], [0, 1]]), [0], normalized([1, 0]))
 
 
 class TestEvaluate:
@@ -155,6 +186,64 @@ class TestEvaluate:
         np.testing.assert_array_equal(first.confusion, second.confusion)
         assert first.overall_accuracy == second.overall_accuracy
 
+    @pytest.mark.parametrize("M",[0, -1, 2.5, True, "3"])
+    def test_rejects_a_bad_M_by_name(self, M):
+        bags = [bag_of([0], label=0)]
+        with pytest.raises(ParameterError, match="^M must be"):
+            evaluate(bags, bags, "t", first_column, M)
+        with pytest.raises(ParameterError, match="^M must be"):
+            build_histogram([0], [1], M)
+
+
+class TestEvaluateMatchesThePerBagOracle:
+    """evaluate's confusion equals the per-bag path of tests/oracles.py exactly.
+
+    Codes are drawn from a range narrower than M, and bags often hold one
+    descriptor, so equal histograms and distance ties are common. Small
+    BLOCK_CELLS values split the queries into blocks of one or a few rows.
+    """
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 64, bof.BLOCK_CELLS])
+    @pytest.mark.parametrize("distance", bof.DISTANCES)
+    def test_random_bags(self, distance, block_cells, monkeypatch):
+        monkeypatch.setattr(bof, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(block_cells)
+        for M in range(1, 71):
+            span = int(rng.integers(1, M + 1))
+            num_classes = int(rng.integers(1, 5))
+
+            def bags(count):
+                sizes = rng.choice([1, 1, 2, 5, 30], size=count)
+                labels = rng.integers(0, num_classes, size=count)
+                return [bag_of(rng.integers(0, span, size=n), int(c)) for n, c in zip(sizes, labels)]
+
+            train, test = bags(int(rng.integers(1, 12))), bags(int(rng.integers(1, 12)))
+            got = evaluate(train, test, "t", first_column, M, distance).confusion
+            np.testing.assert_array_equal(got, oracle_evaluate(train, test, first_column, M, distance))
+
+    @pytest.mark.parametrize("distance", bof.DISTANCES)
+    def test_test_set_equal_to_train_set_and_identical_bags_in_different_classes(self, distance, monkeypatch):
+        monkeypatch.setattr(bof, "BLOCK_CELLS", 5)
+        bags = [
+            bag_of([0, 1], label=2),
+            bag_of([1, 0], label=0),
+            bag_of([1], label=1),
+            bag_of([1, 1, 1], label=0),
+            bag_of([0, 0, 1, 1], label=1),
+            bag_of([2], label=3),
+        ]
+        want = oracle_evaluate(bags, bags, first_column, 3, distance)
+        np.testing.assert_array_equal(evaluate(bags, bags, "t", first_column, 3, distance).confusion, want)
+        # Bags 1 and 4 take the label of bag 0, which has their histogram; bag 3 takes bag 2's.
+        assert want[0, 2] == 1 and want[0, 1] == 1 and want.trace() == 3
+
+    @pytest.mark.parametrize("distance", bof.DISTANCES)
+    def test_kmeans_codes_on_synthetic_bags(self, distance):
+        train, test, dataset = generate_synthetic(2, 3, 8, 12, 2, 1.0)
+        model, _ = kmeans_fit(dataset.features, 6, seed=0)
+        got = evaluate(train, test, "kmeans", model.codes, 6, distance).confusion
+        np.testing.assert_array_equal(got, oracle_evaluate(train, test, model.codes, 6, distance))
+
 
 class TestClassModeLayout:
     def test_simplex_pairwise_distances(self):
@@ -171,6 +260,11 @@ class TestClassModeLayout:
         for i in range(8):
             dist = np.linalg.norm(modes[i] - modes[(i + 1) % 8])
             assert dist == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf, "a", None, True])
+    def test_rejects_a_non_finite_or_non_real_separation_by_name(self, separation):
+        with pytest.raises(ParameterError, match="^separation must be a finite real number"):
+            class_mode_layout(3, 2, separation)
 
     def test_line_layout_spacing(self):
         modes, _ = class_mode_layout(4, 1, 2.5)
@@ -240,6 +334,11 @@ class TestGenerateSynthetic:
         if name in ("num_classes", "dim"):
             with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
                 class_mode_layout(args[0], args[3])
+
+    @pytest.mark.parametrize("background_rate", ["x", None, True, np.nan])
+    def test_rejects_a_non_real_background_rate_by_name(self, background_rate):
+        with pytest.raises(ParameterError, match="^background_rate must be a finite real number"):
+            generate_synthetic(0, 1, 1, 1, 1, 0.0, background_rate=background_rate)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):

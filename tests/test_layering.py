@@ -8,16 +8,19 @@ from ``threading``, which numpy already loads, so ``klvq`` adds nothing to
 the CLI's start-up imports for it.
 Besides the package itself, the modules import only the standard library
 and numpy: numpy is the one dependency. Every file is opened with an
-explicit encoding, so the locale never picks the codec.
+explicit encoding, so the locale never picks the codec. README.md names
+every name the package exports.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "klvq"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -121,3 +124,16 @@ def test_every_file_is_opened_with_an_encoding(name):
             if called in {"open", "read_text", "write_text"}:
                 keywords = {keyword.arg for keyword in node.keywords}
                 assert "encoding" in keywords, f"{name}.py:{node.lineno} calls {called}() without encoding="
+
+
+def test_readme_names_every_exported_name():
+    (exports,) = (
+        ast.literal_eval(node.value)
+        for node in MODULES["__init__"].body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+    )
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    # The identifier a backticked span starts with: `fit`, `fit(dataset, config)`, ...
+    named = {match.group(1) for match in re.finditer(r"`([A-Za-z_]\w*)[^`]*`", text)}
+    missing = sorted(set(exports) - named)
+    assert not missing, f"README.md does not name {missing} in backticks"
