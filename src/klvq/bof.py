@@ -98,6 +98,11 @@ def build_histogram(codes: np.ndarray, sizes: Sequence[int], M: int) -> np.ndarr
     return np.bincount(owner * M + codes.astype(np.int64, copy=False), minlength=sizes.shape[0] * M).reshape(-1, M)
 
 
+def _require_distance(distance: str) -> None:
+    if distance not in DISTANCES:
+        raise ParameterError(f"distance must be one of {DISTANCES}, got {distance!r}")
+
+
 def classify_1nn(
     train: np.ndarray,
     train_labels: Sequence[int],
@@ -110,8 +115,7 @@ def classify_1nn(
     ties go to the lowest training row. Queries are compared in blocks of
     BLOCK_CELLS // train.size rows.
     """
-    if distance not in DISTANCES:
-        raise ParameterError(f"distance must be one of {DISTANCES}, got {distance!r}")
+    _require_distance(distance)
     train, queries = real_matrix(train, "train"), real_matrix(queries, "queries")
     labels = require_int_array(train_labels, "train_labels")
     if labels.shape != train.shape[:1]:
@@ -147,6 +151,7 @@ def evaluate(
     counts the codes, and classify_1nn labels the test bags' normalized
     histograms against the training bags' ones.
     """
+    _require_distance(distance)
     if not train_bags or not test_bags:
         raise ParameterError("train and test bag sets must both be nonempty")
     bags = (*train_bags, *test_bags)

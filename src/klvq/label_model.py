@@ -228,10 +228,11 @@ def _leave_out_rows(
 ) -> Optional[np.ndarray]:
     """The honored leave-out rows (None when include_self is true), after
     checking them and that k does not exceed the candidates left."""
+    if leave_out is not None:
+        leave_out = require_int_array(leave_out, "leave_out")
     if config.include_self or leave_out is None:
         leave_out, available = None, dataset.n
     else:
-        leave_out = np.asarray(leave_out, dtype=np.int64)
         if leave_out.size and (leave_out.min() < 0 or leave_out.max() >= dataset.n):
             raise ParameterError(f"leave-out row index not in [0, {dataset.n})")
         available = dataset.n - 1
@@ -326,24 +327,20 @@ def _group_bounds(
 def _k_nearest(
     columns: np.ndarray,
     queries: np.ndarray,
-    rows: Optional[np.ndarray],
+    rows: np.ndarray,
     leave_out: Optional[np.ndarray],
     k: int,
 ) -> np.ndarray:
     """(B, k) row indices of each query's k nearest candidates, ties to the
     lower row index, in no particular order. The candidates are the rows
-    given in ascending order, or all rows, with no gather, when rows is
-    None; columns holds every row as (d, N). leave_out, when given, holds
-    one row per query to pass over."""
-    dists = _sq_dists(columns if rows is None else columns[:, rows], queries)
+    given in ascending order; columns holds every row as (d, N). leave_out,
+    when given, holds one row per query to pass over."""
+    dists = _sq_dists(columns[:, rows], queries)
     b = np.arange(dists.shape[0])
     if leave_out is not None:
-        if rows is None:
-            skipped = (b, leave_out)
-        else:
-            at = np.minimum(np.searchsorted(rows, leave_out), rows.shape[0] - 1)
-            hit = rows[at] == leave_out
-            skipped = (b[hit], at[hit])
+        at = np.minimum(np.searchsorted(rows, leave_out), rows.shape[0] - 1)
+        hit = rows[at] == leave_out
+        skipped = (b[hit], at[hit])
         dists[skipped] = np.inf
     nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
     kth = dists[b, nearest[:, k - 1]]
@@ -355,7 +352,7 @@ def _k_nearest(
         dists[skipped] = np.nan
     for row in np.flatnonzero(ambiguous):
         nearest[row] = _smallest_k(dists[row], k)
-    return nearest if rows is None else rows[nearest]
+    return rows[nearest]
 
 
 def _screened_rows(
@@ -433,7 +430,7 @@ def _neighbors(
             elif certified[own].all():
                 rows = _screened_rows(columns, sq_norms, q[own], screen_bounds[own], skipped, k)
             else:
-                rows = None
+                rows = np.arange(n)
             out[own] = _k_nearest(columns, q[own], rows, skipped, k)
     return out
 
@@ -453,7 +450,8 @@ def knn_indices(
     queries). The search is that of label_distributions, for one query.
     """
     q = as_queries([query], dataset.dim)
-    rows = _neighbors(dataset, q, config, None if exclude_index is None else [exclude_index])[0]
+    leave_out = None if exclude_index is None else [require_int(exclude_index, "exclude_index")]
+    rows = _neighbors(dataset, q, config, leave_out)[0]
     # _sq_dists gives each found row's distance as the search computed it.
     return rows[np.lexsort((rows, _sq_dists(dataset.features[rows].T, q)[0]))]
 
@@ -485,11 +483,11 @@ def label_distributions(
        |y|^2 - 2 q.y over all rows, and the group keeps the rows within
        twice the certified bound of screen_bound of some query's kth
        screened value (_screened_rows). A group with a query of radius
-       above 2^508 searches all rows, with no gather: the brute-force search
-       itself, with its overflow warnings. The kept rows, in row-index
-       order, are searched as brute force would be: distances by _sq_dists,
-       the k nearest by argpartition, and where more than k rows lie within
-       a query's kth distance the exact (distance, index) rule.
+       above 2^508 searches all rows: the brute-force search itself, with
+       its overflow warnings. The kept rows, in row-index order, are
+       searched as brute force would be: distances by _sq_dists, the k
+       nearest by argpartition, and where more than k rows lie within a
+       query's kth distance the exact (distance, index) rule.
 
     Why skipping is exact: the gap is added one coordinate at a time in the
     order of _sq_dists. A row x of a leaf and a query q of a group differ in

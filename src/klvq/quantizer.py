@@ -103,35 +103,18 @@ class QuantizerModel:
         """Subset index of every query row, as an (n,) int64 array.
 
         Each row's label distribution is estimated by kNN against the
-        training set; its code is the KL argmin over the subset
-        distributions (lowest index on ties), taken once per distinct
-        distribution.
+        training set; its code is assign_step's KL argmin over the subset
+        distributions (lowest index on ties), run on blocks of
+        BLOCK_CELLS // subset_dists.size rows.
         """
-        distinct, inverse = _distinct_rows(
-            label_distributions(self.training_set, queries, self.config.knn)
-        )
-        out = np.empty(distinct.shape[0], dtype=np.int64)
+        point_dists = label_distributions(self.training_set, queries, self.config.knn)
         step = max(1, BLOCK_CELLS // self.subset_dists.size)
-        for start in range(0, out.shape[0], step):
-            kls = kl_matrix(distinct[start : start + step], self.subset_dists)
-            out[start : start + step] = np.argmin(kls, axis=1)
-        return out[inverse]
-
-
-def _distinct_rows(point_dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of point_dists, and each row's index among them.
-
-    A kNN label distribution is a count vector over C classes divided by k,
-    so it takes at most C(k+C-1, C-1) values; the KL of a row is computed
-    once per value and looked up for every row that shares it. Rows are
-    compared as raw bytes, which sorts several times faster than
-    np.unique(axis=0) and leaves every lookup exact: rows with equal bytes
-    are equal floats, and the order of the distinct rows is never used.
-    """
-    rows = np.ascontiguousarray(point_dists, dtype=np.float64)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inverse.reshape(-1)
+        return np.concatenate(
+            [
+                assign_step(point_dists[start : start + step], self.subset_dists).assignment
+                for start in range(0, point_dists.shape[0], step)
+            ]
+        )
 
 
 def update_subset_distributions(
@@ -173,7 +156,8 @@ def assign_step(point_dists: np.ndarray, subset_dists: np.ndarray) -> Partition:
     """Assign every point to the subset minimizing KL(point || subset).
 
     Ties go to the lowest subset index; the result does not depend on any
-    previous assignment.
+    previous assignment. The KL is computed once per distinct point
+    distribution (kl_matrix).
     """
     kls = kl_matrix(point_dists, subset_dists)
     return Partition(np.argmin(kls, axis=1), kls.shape[1])
@@ -251,9 +235,9 @@ def fit(
     """
     point_dists = estimate_all(dataset, config.knn)
     start = init_partition(dataset, config, point_dists).assignment
-    distinct, inverse = _distinct_rows(point_dists)
-    table = PointTable.of(distinct)
-    kls = np.empty((distinct.shape[0], config.M))
+    table = PointTable.of(point_dists)
+    inverse = table.inverse
+    kls = np.empty((table.pair_index.shape[0], config.M))
     # NaN rows differ from every distribution, so iteration 1 fills every column.
     previous = np.full((config.M, dataset.num_classes), np.nan)
 

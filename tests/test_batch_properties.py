@@ -277,16 +277,25 @@ def test_kl_matrix_entries_equal_own_subset_terms(num_classes, data):
 @settings(SETTINGS, max_examples=10)
 @given(data=st.data())
 def test_kl_matrix_rows_do_not_depend_on_the_other_rows(num_classes, data):
-    """fit and codes take the KL of each distinct distribution once and look
-    it up for every row that shares it: the lookup equals the KL matrix of
-    all rows."""
+    """fit, assign_step and codes take the KL of each distinct distribution
+    once, on the U rows of one PointTable, and look it up through inverse
+    for every row that shares it: the (U, m) table read through inverse
+    equals the KL of all rows bit for bit, and the table of the distinct
+    rows alone is the same table."""
     values = data.draw(distributions(data.draw(st.integers(1, 8)), num_classes))
     rows = data.draw(arrays(np.int64, data.draw(st.integers(1, 40)), elements=st.integers(0, values.shape[0] - 1)))
     P = values[rows]
     Q = data.draw(distributions(data.draw(st.integers(1, 12)), num_classes, positive=True))
-    distinct, inverse = quantizer._distinct_rows(P)
-    np.testing.assert_array_equal(distinct[inverse], P)
-    np.testing.assert_array_equal(kl_matrix(distinct, Q)[inverse], kl_matrix(P, Q))
+    table = PointTable.of(P)
+    distinct = table.values[table.pair_index]
+    assert distinct.shape == (np.unique(P, axis=0).shape[0], num_classes)
+    np.testing.assert_array_equal(distinct[table.inverse], P)
+    got = table.kl(Q)
+    assert got.shape == (distinct.shape[0], Q.shape[0])
+    want = _kl_terms(P[:, None, :], Q[None, :, :]).sum(axis=2)
+    np.testing.assert_array_equal(got[table.inverse].view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(kl_matrix(distinct, Q).view(np.uint64), got.view(np.uint64))
+    np.testing.assert_array_equal(kl_matrix(P, Q).view(np.uint64), want.view(np.uint64))
 
 
 @st.composite
@@ -350,7 +359,8 @@ def test_kl_matrix_evaluates_one_term_per_distinct_pair_and_subset(num_classes, 
 def test_point_table_columns_equal_kl_matrix_columns_bit_for_bit(num_classes, data):
     """fit builds one PointTable per fit and recomputes only the columns of
     the subsets whose distributions changed: the step on any 1..M subset rows,
-    in any order, equals those columns of kl_matrix bit for bit, and raises
+    in any order, read through inverse, equals those columns of kl_matrix
+    bit for bit, and raises
     kl_matrix's DomainError exactly when one of the rows has an unsmoothed
     zero where some point is positive."""
     P, Q = data.draw(kl_matrix_cases(num_classes))
@@ -363,8 +373,8 @@ def test_point_table_columns_equal_kl_matrix_columns_bit_for_bit(num_classes, da
         rows = [m for m in rows if m in usable]
     want = kl_matrix(P, Q[usable])[:, [usable.index(m) for m in rows]]
     got = table.kl(Q[rows])
-    assert got.shape == want.shape and got.dtype == want.dtype
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.shape == (table.pair_index.shape[0], len(rows)) and got.dtype == want.dtype
+    np.testing.assert_array_equal(got[table.inverse].view(np.uint64), want.view(np.uint64))
 
 
 @st.composite

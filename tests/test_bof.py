@@ -186,6 +186,17 @@ class TestEvaluate:
         np.testing.assert_array_equal(first.confusion, second.confusion)
         assert first.overall_accuracy == second.overall_accuracy
 
+    def test_rejects_a_bad_distance_before_quantizing(self):
+        def never_called(descriptors):
+            raise AssertionError("codes_fn ran before the distance was checked")
+
+        bags = [bag_of([0], label=0)]
+        with pytest.raises(ParameterError) as from_classify:
+            classify_1nn(normalized([1]), [0], normalized([1]), "cosine")
+        with pytest.raises(ParameterError) as from_evaluate:
+            evaluate(bags, bags, "t", never_called, 1, "cosine")
+        assert str(from_evaluate.value) == str(from_classify.value) == "distance must be one of ('l1', 'l2'), got 'cosine'"
+
     @pytest.mark.parametrize("M",[0, -1, 2.5, True, "3"])
     def test_rejects_a_bad_M_by_name(self, M):
         bags = [bag_of([0], label=0)]

@@ -257,13 +257,39 @@ class TestEstimateAll:
                 )
 
 
+class TestLeaveOutValidation:
+    """A real or boolean row index raises instead of being truncated to a row."""
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    @pytest.mark.parametrize("leave_out", [[1.5], [True], np.array([1.0])], ids=["real", "boolean", "float-array"])
+    def test_label_distributions_rejects_a_non_integer_leave_out(self, two_pair_dataset, leave_out, include_self):
+        config = KnnConfig(k=1, include_self=include_self)
+        with pytest.raises(ParameterError, match="^leave_out must be integers"):
+            label_distributions(two_pair_dataset, [[0.1, 0.0]], config, leave_out)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    @pytest.mark.parametrize("exclude_index", [1.5, True, np.float64(1.0)], ids=["real", "boolean", "float64"])
+    def test_knn_indices_rejects_a_non_integer_exclude_index(self, two_pair_dataset, exclude_index, include_self):
+        config = KnnConfig(k=1, include_self=include_self)
+        with pytest.raises(ParameterError, match="^exclude_index must be an integer"):
+            knn_indices(two_pair_dataset, [0.1, 0.0], config, exclude_index)
+
+    def test_integer_rows_of_any_integer_type_are_left_out(self, two_pair_dataset):
+        # Row 1 sits on the query; without it the two nearest rows are 0 and 2.
+        config = KnnConfig(k=2, include_self=False)
+        for leave_out in ([1], np.array([1], dtype=np.uint8)):
+            got = label_distributions(two_pair_dataset, [[0.1, 0.0]], config, leave_out)
+            np.testing.assert_array_equal(got, [[0.5, 0.5]])
+        assert knn_indices(two_pair_dataset, [0.1, 0.0], config, np.int32(1)).tolist() == [0, 2]
+
+
 class TestPrunedSearch:
     """label_distributions skips the k-d leaves that lie farther from a query
     group than its bound; these tests watch which rows each group searches."""
 
     @pytest.fixture
     def searched(self, monkeypatch):
-        """(query block, searched rows or None for all rows) of every group."""
+        """(query block, searched rows) of every group."""
         calls = []
         k_nearest = label_model._k_nearest
 
@@ -284,7 +310,7 @@ class TestPrunedSearch:
         assert sum(block.shape[0] for block, _ in searched) == 128
         for block, rows in searched:
             far = bool(block[0, 0] > 50.0)
-            assert rows is not None and (block[:, 0] > 50.0).all() == far
+            assert rows.shape[0] < 400 and (block[:, 0] > 50.0).all() == far
             assert ((rows >= 200) == far).all()
 
     def test_distances_overflowing_to_inf_search_every_row(self, monkeypatch, searched):
@@ -298,7 +324,7 @@ class TestPrunedSearch:
             got = label_distributions(dataset, [[0.0], [1e100]], KnnConfig(k=2))
         # Row 2 is nearest; rows 0, 1, 3 and 4 tie at inf and row 0 wins.
         np.testing.assert_array_equal(got, [[0.5, 0.5], [0.5, 0.5]])
-        assert len(searched) == 2 and all(rows is None for _, rows in searched)
+        assert len(searched) == 2 and all(np.array_equal(rows, np.arange(5)) for _, rows in searched)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("include_self", [True, False])
@@ -318,7 +344,7 @@ class TestPrunedSearch:
         else:
             queries = features
             got = estimate_all(dataset, config)
-        assert any(rows is not None for _, rows in searched)
+        assert any(rows.shape[0] < 240 for _, rows in searched)
         for i, query in enumerate(queries):
             exclude = None if include_self else i
             neighbors = oracle_knn(features.tolist(), query.tolist(), 7, exclude)
@@ -334,7 +360,7 @@ class TestPrunedSearch:
         config = KnnConfig(k=10, include_self=False)
         got = estimate_all(dataset, config)
         assert sum(block.shape[0] for block, _ in searched) == 1200
-        assert all(rows is not None and rows.shape[0] < 1200 // 2 for _, rows in searched)
+        assert all(rows.shape[0] < 1200 // 2 for _, rows in searched)
         want = oracle_in_order_knn(features, features, 10, np.arange(1200))
         np.testing.assert_array_equal(got, [np.bincount(dataset.labels[r], minlength=3) / 10.0 for r in want])
 

@@ -26,6 +26,7 @@ from klvq import (
     smooth,
     update_subset_distributions,
 )
+from klvq import quantizer
 from klvq.divergence import PointTable
 from klvq.quantizer import _repair_empty_subsets
 
@@ -614,36 +615,69 @@ class TestFitOnDistinctRows:
         """fit builds one point table of the U distinct rows and computes KL
         columns on it once per iteration, only for the subsets whose
         distributions changed, and stops at the first repeated assignment;
-        codes computes the KL of each distinct query distribution once."""
+        codes runs one assign_step per block of queries, each on a table of
+        that block's distinct distributions."""
         dataset = duplicate_rows_dataset(3)
         config = QuantizerConfig(M=8, knn=KnnConfig(k=3), smoothing=E6, max_iters=10, seed=3)
         _, repeat = first_repeat(reference_fit(dataset, config)[-1])
-        tables, columns = [], []
-        real_of, real_kl = PointTable.of.__func__, PointTable.kl
+        tables, columns, blocks = [], [], []
+        real_of, real_kl, real_assign = PointTable.of.__func__, PointTable.kl, quantizer.assign_step
 
         def counted_of(cls, point_dists):
-            tables.append(np.shape(point_dists)[0])
-            return real_of(cls, point_dists)
+            table = real_of(cls, point_dists)
+            tables.append(table.pair_index.shape[0])
+            return table
 
         def counted_kl(table, subset_dists):
             columns.append((table.pair_index.shape[0], np.shape(subset_dists)[0]))
             return real_kl(table, subset_dists)
 
+        def counted_assign(point_dists, subset_dists):
+            blocks.append(point_dists.copy())
+            return real_assign(point_dists, subset_dists)
+
         monkeypatch.setattr(PointTable, "of", classmethod(counted_of))
         monkeypatch.setattr(PointTable, "kl", counted_kl)
+        monkeypatch.setattr(quantizer, "assign_step", counted_assign)
         model, _, trace = fit(dataset, config)
         distinct = np.unique(estimate_all(dataset, config.knn), axis=0).shape[0]
         assert distinct < dataset.n and repeat == len(trace) < config.max_iters
-        assert tables == [distinct]
+        assert tables == [distinct] and blocks == []
         assert [rows for rows, _ in columns] == [distinct] * repeat
         assert columns[0][1] == config.M and sum(m for _, m in columns) < config.M * repeat
 
         tables.clear()
+        columns.clear()
+        step = 7
+        monkeypatch.setattr(quantizer, "BLOCK_CELLS", step * model.subset_dists.size)
         queries = np.vstack([dataset.features, dataset.features + 0.25])
         codes = model.codes(queries)
         query_dists = label_distributions(dataset, queries, config.knn)
-        assert tables == [np.unique(query_dists, axis=0).shape[0]]
+        assert [block.shape[0] for block in blocks] == [step] * (queries.shape[0] // step) + [queries.shape[0] % step]
+        np.testing.assert_array_equal(np.vstack(blocks), query_dists)
+        unique_per_block = [np.unique(block, axis=0).shape[0] for block in blocks]
+        assert tables == unique_per_block and columns == [(u, config.M) for u in unique_per_block]
+        assert sum(unique_per_block) < queries.shape[0]
         assert codes.tolist() == oracle_assign(query_dists.tolist(), model.subset_dists.tolist())
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 5, 8, None])
+    def test_codes_equal_the_oracle_when_blocks_split_runs_of_equal_distributions(self, monkeypatch, step):
+        """Each query row is repeated five times, so runs of equal kNN
+        distributions straddle the edges of blocks of step rows; every block
+        dedups its own rows, and the codes equal the row-by-row oracle."""
+        dataset = duplicate_rows_dataset(5)
+        config = QuantizerConfig(M=6, knn=KnnConfig(k=3), smoothing=E6, max_iters=10, seed=5)
+        model, _, _ = fit(dataset, config)
+        queries = np.repeat(np.vstack([dataset.features, dataset.features[::-1] + 0.5]), 5, axis=0)
+        query_dists = label_distributions(dataset, queries, config.knn)
+        if step is not None:
+            monkeypatch.setattr(quantizer, "BLOCK_CELLS", step * model.subset_dists.size)
+            edges = np.arange(step, queries.shape[0], step)
+            assert (query_dists[edges] == query_dists[edges - 1]).all(axis=1).any()
+        codes = model.codes(queries)
+        assert codes.dtype == np.int64 and codes.shape == (queries.shape[0],)
+        assert codes.tolist() == oracle_assign(query_dists.tolist(), model.subset_dists.tolist())
+        assert len(set(codes.tolist())) > 1
 
 
 class TestQuantize:
